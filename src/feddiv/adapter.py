@@ -136,13 +136,23 @@ def adapter_train_step(net: SmallConvNet, adapters: list[InstanceAdapter], batch
     """One SGD step on the adapters with the main network frozen.
 
     Forward uses interpolated statistics with reparameterized alpha, loss is
-    plain cross-entropy, and only adapter parameters are updated.
+    plain cross-entropy, and only adapter parameters are updated. The main
+    network's parameters stop requiring grad for the step, so the backward
+    pass ends at the alphas and leaves their ``grad`` untouched.
     """
     provider = _layer_alpha_provider(net, adapters, "learned_train", rng, 0.0)
-    _, logits = net.forward(batch, BNMode.INTERPOLATED_ADAPTER, provider)
-    loss = T.softmax_cross_entropy(logits, labels)
-    optimizer.zero_grad()
-    loss.backward()
+    main_params = list(net.parameters().values())
+    saved = [p.requires_grad for p in main_params]
+    for p in main_params:
+        p.requires_grad = False
+    try:
+        _, logits = net.forward(batch, BNMode.INTERPOLATED_ADAPTER, provider)
+        loss = T.softmax_cross_entropy(logits, labels)
+        optimizer.zero_grad()
+        loss.backward()
+    finally:
+        for p, flag in zip(main_params, saved):
+            p.requires_grad = flag
     optimizer.step()
     return float(loss.data)
 

@@ -7,8 +7,10 @@ corruption instead of silently loading garbage.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -35,6 +37,25 @@ def _payload_digest(arrays: dict) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, newline: str | None = None):
+    """Open a text file for writing that replaces ``path`` only as a whole.
+
+    The block writes to a temporary file in the same directory, which is
+    moved over ``path`` with ``os.replace`` once the block finishes. If the
+    block raises, the temporary file is removed and any earlier ``path``
+    stays as it was, so readers never see a partly written artifact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_checkpoint(bundle: dict, path: str, extra: dict | None = None):
     """Write every named array plus optional JSON-serializable metadata."""
     arrays = {k: _encode(v) for k, v in bundle.items()}
@@ -44,7 +65,7 @@ def save_checkpoint(bundle: dict, path: str, extra: dict | None = None):
         "arrays": arrays,
         "extra": extra or {},
     }
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f)
 
 

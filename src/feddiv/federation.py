@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import tensor as T
-from .adapter import InstanceAdapter, adapter_parameters, make_adapters
+from .adapter import InstanceAdapter, adapter_parameters
 from .diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
 from .errors import FeddivError, InputError, ProtocolError
 from .layers import BNMode, SmallConvNet
@@ -207,7 +207,6 @@ class TrainConfig:
         default_factory=lambda: SamplingDistribution("uniform", 0.0, 1.0))
     loss_weights: LossWeights = field(default_factory=lambda: LossWeights(0.1, 4.0))
     adapter: bool = False
-    adapter_hidden_dim: int = 32
     adapter_warmup_rounds: int = 0
     adapter_lr: float = 0.005
     prox_mu: float = 0.1
@@ -392,13 +391,6 @@ def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
 
 
 # -- federation loop ----------------------------------------------------------
-
-def make_client(client_id: int, train_data, val_data, seed: int, model_cfg: dict,
-                with_adapters: bool, adapter_hidden: int = 32) -> ClientState:
-    net = SmallConvNet(seed=seed, **model_cfg)
-    adapters = make_adapters(net, adapter_hidden, seed=seed) if with_adapters else None
-    return ClientState(client_id, train_data, val_data, net, adapters, seed)
-
 
 def run_federation(clients: list[ClientState], server: ServerState, plan: RoundPlan,
                    cfg: TrainConfig, eval_net: SmallConvNet,

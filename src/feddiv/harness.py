@@ -47,8 +47,7 @@ def _train_config(cfg: dict) -> TrainConfig:
         strategy=f["strategy"], lr=f["lr"], momentum=f["momentum"],
         batch_size=f["batch_size"], diversify=d["enabled"], distribution=dist,
         loss_weights=LossWeights(l["lambda1"], l["lambda2"]),
-        adapter=a["enabled"], adapter_hidden_dim=a["hidden_dim"],
-        adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
+        adapter=a["enabled"], adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
         prox_mu=f["prox_mu"],
         stop_gradient_features=d["stop_gradient_features"],
         stat_aggregation=f["stat_aggregation"], parallel_clients=f["parallel_clients"],
@@ -110,7 +109,7 @@ def run_seed(cfg: dict, seed: int) -> dict:
 
 
 def _write_ledger(rows: list[dict], path: str):
-    with open(path, "w", newline="") as f:
+    with ckpt.atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "client_id", "split", "accuracy", "L_CE", "L_CACL",
                          "L_CAFL", "L_total"])
@@ -160,7 +159,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
         "summary": summary,
         "wallclock_sec": round(time.time() - start, 3),
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as f:
+    with ckpt.atomic_write(os.path.join(out_dir, "report.json")) as f:
         json.dump(report, f, indent=2, sort_keys=True)
     return report
 

@@ -9,12 +9,14 @@ and server-injected global buffers. Four normalization routes exist:
   global stats by an externally supplied vector (no buffer mutation).
 * ``INTERPOLATED_ADAPTER`` - per-sample scalar blend of instance and global
   stats, weight supplied per sample (no buffer mutation).
+
+The two blended routes are one call each to the fused op
+``tensor.blend_normalize``; only the shape of the blend weight differs.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 
 import numpy as np
 
@@ -45,15 +47,6 @@ def instance_stats(x: np.ndarray, eps: float = EPS) -> tuple[np.ndarray, np.ndar
     mu = x.mean(axis=(2, 3))
     var = x.var(axis=(2, 3))
     return mu, np.sqrt(var + eps)
-
-
-def instance_stats_t(x: Tensor, eps: float = EPS) -> tuple[Tensor, Tensor]:
-    """Differentiable instance statistics, shapes N x C x 1 x 1."""
-    if x.shape[2] * x.shape[3] < 2:
-        raise InputError("instance_stats: spatial size must be >= 2, std undefined for 1 pixel")
-    mu = T.tmean(x, axis=(2, 3), keepdims=True)
-    sigma = T.instance_std(x, eps)
-    return mu, sigma
 
 
 class DualBNLayer:
@@ -118,18 +111,7 @@ class DualBNLayer:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.channels,):
             raise ConfigError(f"mix vector shape {u.shape} != ({self.channels},)")
-        mu_i, sigma_i = instance_stats_t(x, self.eps)
-        c = self.channels
-        ur = Tensor(u.reshape(1, c, 1, 1))
-        one_minus = Tensor((1.0 - u).reshape(1, c, 1, 1))
-        mu_g = Tensor(self.global_mean.reshape(1, c, 1, 1))
-        sigma_g = Tensor(np.sqrt(self.global_var + self.eps).reshape(1, c, 1, 1))
-        mu_mix = T.add(T.mul(ur, mu_i), T.mul(one_minus, mu_g))
-        sigma_mix = T.add(T.mul(ur, sigma_i), T.mul(one_minus, sigma_g))
-        if np.any(sigma_mix.data <= 0):
-            warnings.warn("mixed std reached <= 0 under extrapolation; clamping to eps")
-            sigma_mix = T.clamp(sigma_mix, self.eps, np.inf)
-        return T.normalize_affine(x, mu_mix, sigma_mix, self.gamma, self.beta)
+        return self._blend(x, Tensor(u.reshape(1, self.channels, 1, 1)))
 
     def forward_interpolated(self, x: Tensor, alpha: Tensor) -> Tensor:
         """Normalize sample i by alpha_i * instance + (1-alpha_i) * global.
@@ -138,16 +120,13 @@ class DualBNLayer:
         across channels; it may carry gradients (adapter training).
         """
         self._require_global()
-        n = x.shape[0]
-        alpha4 = T.reshape(alpha, (n, 1, 1, 1))
-        one_minus = T.sub(Tensor(1.0), alpha4)
-        mu_i, sigma_i = instance_stats_t(x, self.eps)
+        return self._blend(x, T.reshape(alpha, (x.shape[0], 1, 1, 1)))
+
+    def _blend(self, x: Tensor, w: Tensor) -> Tensor:
         c = self.channels
-        mu_g = Tensor(self.global_mean.reshape(1, c, 1, 1))
-        sigma_g = Tensor(np.sqrt(self.global_var + self.eps).reshape(1, c, 1, 1))
-        mu_star = T.add(T.mul(alpha4, mu_i), T.mul(one_minus, mu_g))
-        sigma_star = T.add(T.mul(alpha4, sigma_i), T.mul(one_minus, sigma_g))
-        return T.normalize_affine(x, mu_star, sigma_star, self.gamma, self.beta)
+        return T.blend_normalize(x, w, self.global_mean.reshape(1, c, 1, 1),
+                                 np.sqrt(self.global_var + self.eps).reshape(1, c, 1, 1),
+                                 self.gamma, self.beta, self.eps)
 
 
 class Conv2dLayer:

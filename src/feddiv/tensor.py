@@ -10,7 +10,9 @@ special casing.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
+import warnings
 
 import numpy as np
 
@@ -42,8 +44,9 @@ class Tensor:
     """A float64 array plus an optional gradient buffer.
 
     Non-leaf tensors remember their parents and a VJP closure; calling
-    ``backward()`` on a scalar accumulates d(scalar)/d(node) into the
-    ``grad`` buffer of every node with ``requires_grad``.
+    ``backward()`` on a scalar accumulates d(scalar)/d(leaf) into the
+    ``grad`` buffer of every leaf with ``requires_grad``. Intermediate nodes
+    keep ``grad`` at None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -115,40 +118,39 @@ class Tensor:
         if self.data.size != 1:
             raise InputError(f"backward() needs a scalar loss, got shape {self.data.shape}")
 
+        # Post-order DFS: every node lands after the inputs it was built from.
+        # Tensors hash by identity, so they key the visited set and grads.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited or not node.requires_grad:
+            if node in visited or not node.requires_grad:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                stack.append((p, False))
+                if p.requires_grad and p not in visited:
+                    stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        # Consumers come before their inputs here, so a node's gradient is
+        # complete when it is reached.
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.get(id(node))
-            if g is None or node._vjp is None:
+            g = grads.pop(node, None)
+            if g is None:
+                continue
+            if node._vjp is None:  # a leaf
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-
-        for node in topo:
-            g = grads.get(id(node))
-            if g is None:
-                continue
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
 
 
 def _as_tensor(x) -> Tensor:
@@ -175,23 +177,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # -- elementwise ---------------------------------------------------------
 
+# Each VJP returns None for a parent that does not require grad: frozen
+# weights and constant inputs cost nothing in the backward pass.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return _make(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -266,11 +276,12 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return _make(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+
+    def vjp(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
+
+    return _make(a.data @ b.data, (a, b), vjp)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -290,34 +301,55 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
 
+    hp, wp = h + 2 * pad, wd + 2 * pad
     if pad:
-        xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+        xp = np.zeros((n, c, hp, wp))
         xp[:, :, pad : pad + h, pad : pad + wd] = x.data
     else:
         xp = x.data
-    cols = np.empty((n, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    # im2col: one strided view in (c, kh, kw, n, ho, wo) order, copied once.
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, kh, kw, n, ho, wo),
+        strides=(sc, sh, sw, sn, stride * sh, stride * sw), writeable=False)
     ckk = c * kh * kw
-    cols_flat = cols.transpose(1, 2, 3, 0, 4, 5).reshape(ckk, n * ho * wo)
+    cols_flat = windows.reshape(ckk, n * ho * wo)
     w2 = w.data.reshape(f, ckk)
     out = (w2 @ cols_flat).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
     def vjp(g):
         g_flat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        gw = (g_flat @ cols_flat.T).reshape(w.shape)
-        gcols = (w2.T @ g_flat).reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-        gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                    :, :, i, j
-                ]
-        gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
+        gw = (g_flat @ cols_flat.T).reshape(w.shape) if w.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gcols = w2.T @ g_flat  # rows in (c, kh, kw), columns in (n, ho, wo) order
+            index = _col2im_index(n, c, hp, wp, kh, kw, ho, wo, stride)
+            gxp = np.bincount(index, weights=gcols.reshape(-1),
+                              minlength=n * c * hp * wp).reshape(n, c, hp, wp)
+            gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
         return (gx, gw)
 
     return _make(out, (x, w), vjp)
+
+
+@functools.lru_cache(maxsize=16)
+def _col2im_index(n, c, hp, wp, kh, kw, ho, wo, stride) -> np.ndarray:
+    """Flat padded-input position of every im2col entry, in (c, kh, kw, n, ho, wo) order.
+
+    ``np.bincount`` adds weights in array order, so in this tap-major order
+    each input cell sums its kernel taps in the same order as a loop over
+    (kh, kw) with strided ``+=`` would, and col2im stays bit-for-bit equal
+    to that loop. The cache is keyed by shape and bounded.
+    """
+    ci = np.arange(c).reshape(c, 1, 1, 1, 1, 1)
+    ki = np.arange(kh).reshape(1, kh, 1, 1, 1, 1)
+    kj = np.arange(kw).reshape(1, 1, kw, 1, 1, 1)
+    ni = np.arange(n).reshape(1, 1, 1, n, 1, 1)
+    oy = np.arange(ho).reshape(1, 1, 1, 1, ho, 1)
+    ox = np.arange(wo).reshape(1, 1, 1, 1, 1, wo)
+    index = (((ni * c + ci) * hp + ki + stride * oy) * wp + kj + stride * ox).reshape(-1)
+    index.setflags(write=False)
+    return index
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -372,28 +404,80 @@ def normalize_affine(x: Tensor, mean: Tensor, std: Tensor, gamma: Tensor, beta: 
     out = xn * gd + beta.data.reshape(1, c, 1, 1)
 
     def vjp(g):
-        gk = g * (gd / std.data)
-        gmean = _unbroadcast(-gk, mean.shape)
-        gstd = _unbroadcast(-gk * xn, std.shape)
-        ggamma = (g * xn).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        return (_unbroadcast(gk, x.shape), gmean, gstd, ggamma, gbeta)
+        gx = gmean = gstd = ggamma = gbeta = None
+        if x.requires_grad or mean.requires_grad or std.requires_grad:
+            gk = g * (gd / std.data)
+            if x.requires_grad:
+                gx = _unbroadcast(gk, x.shape)
+            if mean.requires_grad:
+                gmean = _unbroadcast(-gk, mean.shape)
+            if std.requires_grad:
+                gstd = _unbroadcast(-gk * xn, std.shape)
+        if gamma.requires_grad:
+            ggamma = (g * xn).sum(axis=(0, 2, 3))
+        if beta.requires_grad:
+            gbeta = g.sum(axis=(0, 2, 3))
+        return (gx, gmean, gstd, ggamma, gbeta)
 
     return _make(out, (x, mean, std, gamma, beta), vjp)
 
 
-def instance_std(x: Tensor, eps: float) -> Tensor:
-    """Per-sample per-channel spatial standard deviation, shape (N,C,1,1)."""
-    n, c, h, w = x.shape
-    m = h * w
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    xm = x.data - mu
-    s = np.sqrt((xm * xm).mean(axis=(2, 3), keepdims=True) + eps)
+def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
+                    gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize by ``w * instance + (1 - w) * global`` statistics, one tape node.
+
+    Instance statistics are each sample's per-channel spatial mean and std
+    (biased variance plus ``eps``). ``w`` broadcasts against (N, C, 1, 1):
+    (1, C, 1, 1) blends per channel (feature diversification, MixStyle),
+    (N, 1, 1, 1) per sample (adapter interpolation). ``mu_g``/``sigma_g``
+    are constant global statistics shaped (1, C, 1, 1); ``gamma``/``beta``
+    are (C,). If a blended std is <= 0 (``w`` outside [0, 1]), every std is
+    clamped to at least ``eps`` with a warning, and the clamped entries
+    pass no gradient. Gradients flow into ``x``, ``w``, ``gamma`` and ``beta``.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError(f"blend_normalize: need NCHW input, got {x.shape}")
+    _, c, h, wd = x.shape
+    m = h * wd
+    if m < 2:
+        raise InputError("blend_normalize: spatial size must be >= 2, std undefined "
+                         "for 1 pixel")
+    mu_i = x.data.mean(axis=(2, 3), keepdims=True)
+    xm = x.data - mu_i
+    sigma_i = np.sqrt((xm * xm).mean(axis=(2, 3), keepdims=True) + eps)
+    wv = w.data
+    one_minus = 1.0 - wv
+    mu = wv * mu_i + one_minus * mu_g
+    sigma = wv * sigma_i + one_minus * sigma_g
+    live = None
+    if np.any(sigma <= 0):
+        warnings.warn("mixed std reached <= 0 under extrapolation; clamping to eps")
+        live = sigma > eps
+        sigma = np.clip(sigma, eps, np.inf)
+    gd = gamma.data.reshape(1, c, 1, 1)
+    xn = (x.data - mu) / sigma
+    out = xn * gd + beta.data.reshape(1, c, 1, 1)
 
     def vjp(g):
-        return (g * xm / (m * s),)
+        gx = gw = ggamma = gbeta = None
+        if x.requires_grad or w.requires_grad:
+            gk = g * (gd / sigma)
+            gmu = -gk.sum(axis=(2, 3), keepdims=True)
+            gsigma = -(gk * xn).sum(axis=(2, 3), keepdims=True)
+            if live is not None:
+                gsigma = gsigma * live
+            if x.requires_grad:
+                # direct term, then the paths through the instance mean and std
+                gx = gk + (wv / m) * ((gsigma / sigma_i) * xm + gmu)
+            if w.requires_grad:
+                gw = _unbroadcast(gmu * (mu_i - mu_g) + gsigma * (sigma_i - sigma_g), w.shape)
+        if gamma.requires_grad:
+            ggamma = (g * xn).sum(axis=(0, 2, 3))
+        if beta.requires_grad:
+            gbeta = g.sum(axis=(0, 2, 3))
+        return (gx, gw, ggamma, gbeta)
 
-    return _make(s, (x,), vjp)
+    return _make(out, (x, w, gamma, beta), vjp)
 
 
 # -- losses --------------------------------------------------------------

@@ -5,7 +5,7 @@ import feddiv.tensor as T
 from feddiv.adapter import (InstanceAdapter, adapter_parameters, adapter_train_step,
                             adaptive_inference, alpha_test, baseline_alpha_inference,
                             interpolated_bn_forward, make_adapters, reparam_alpha_train)
-from feddiv.errors import ConfigError
+from feddiv.errors import ConfigError, InputError
 from feddiv.federation import SGD
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
@@ -151,8 +151,21 @@ class TestAdapterTraining:
         adapter_train_step(net, adapters, batch, labels, opt, rng)
         for k, p in net.parameters().items():
             assert np.array_equal(p.data, before[k]), k
+            # backward stopped at the alphas and the freeze was undone
+            assert p.grad is None and p.requires_grad, k
         for k, v in net.bn_stats().items():
             assert np.array_equal(v, stats_before[k]), k
+        assert all(p.grad is not None for p in adapter_parameters(adapters).values())
+
+    def test_freeze_undone_when_forward_raises(self):
+        net = make_net(seed=1)
+        adapters = make_adapters(net, hidden_dim=8, seed=1)
+        rng = np.random.default_rng(7)
+        batch = Tensor(rng.uniform(0, 1, (4, 3, 16, 16)))
+        opt = SGD(adapter_parameters(adapters), lr=0.01)
+        with pytest.raises(InputError):  # 3 labels for a batch of 4
+            adapter_train_step(net, adapters, batch, np.zeros(3, dtype=int), opt, rng)
+        assert all(p.requires_grad for p in net.parameters().values())
 
     def test_adapter_params_change_and_main_step_leaves_adapters(self):
         net = make_net(seed=2)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -75,3 +76,18 @@ class TestCorruption:
             f.write("not json at all {{{")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestAtomicWrite:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(fresh_bundle(), path, extra={"note": "first"})
+        with open(path, "rb") as f:
+            before = f.read()
+        # the arrays are written before the unserializable metadata raises
+        with pytest.raises(TypeError):
+            save_checkpoint(fresh_bundle(1), path, extra={"bad": object()})
+        with open(path, "rb") as f:
+            assert f.read() == before
+        assert os.listdir(tmp_path) == ["ck.json"]
+        assert load_checkpoint(path)[1] == {"note": "first"}

@@ -10,7 +10,8 @@ import pytest
 from feddiv.cli import main as cli_main
 from feddiv.config import load_config
 from feddiv.errors import ConfigError
-from feddiv.harness import (INFERENCE_MODES, compare_reports, run_experiment, run_seed)
+from feddiv.harness import (INFERENCE_MODES, _write_ledger, compare_reports, run_experiment,
+                            run_seed)
 
 TINY = [
     "benchmark.samples_per_client=60",
@@ -89,6 +90,21 @@ class TestRunExperiment:
             header = f.readline().strip().split(",")
         assert header == ["round", "client_id", "split", "accuracy", "L_CE", "L_CACL",
                           "L_CAFL", "L_total"]
+
+    def test_failed_ledger_write_keeps_previous_file(self, tmp_path):
+        row = {"round": 0, "client_id": 0, "split": "server_val", "accuracy": 0.5,
+               "ce": 1.0, "cacl": 1.0, "cafl": 0.1, "total": 1.5}
+        path = str(tmp_path / "ledger_seed0.csv")
+        _write_ledger([row, row], path)
+        with open(path) as f:
+            before = f.read()
+        broken = dict(row)
+        del broken["cafl"]
+        with pytest.raises(KeyError):  # raises after the header and first row
+            _write_ledger([row, broken], path)
+        with open(path) as f:
+            assert f.read() == before
+        assert os.listdir(tmp_path) == ["ledger_seed0.csv"]
 
     def test_checkpoint_written(self, tiny_report):
         _, out, _ = tiny_report

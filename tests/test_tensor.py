@@ -82,6 +82,111 @@ class TestConv2d:
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True)
         check_grads(lambda: T.tsum(T.conv2d(x, w, 2, 1)), [x, w], tol=1e-5)
 
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_col2im_equals_tap_loop_bitwise(self, stride, pad):
+        rng = np.random.default_rng(4)
+        n, c, h, wd, f = 2, 3, 7, 6, 4
+        x = Tensor(rng.uniform(-2, 2, (n, c, h, wd)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (f, c, 3, 3)))
+        out = T.conv2d(x, w, stride, pad)
+        g = rng.uniform(-1, 1, out.shape)
+        gx, gw = out._vjp(g)
+        assert gw is None
+
+        # reference: scatter the columns back with one strided += per kernel tap
+        ho, wo = out.shape[2:]
+        gcols = (w.data.reshape(f, -1).T @ g.transpose(1, 0, 2, 3).reshape(f, -1))
+        gcols = gcols.reshape(c, 3, 3, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+        gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+        for i in range(3):
+            for j in range(3):
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += \
+                    gcols[:, :, i, j]
+        want = gxp[:, :, pad : pad + h, pad : pad + wd]
+        assert np.array_equal(gx, want)
+
+    def test_vjp_skips_parents_without_grad(self):
+        rng = np.random.default_rng(5)
+        data = rng.uniform(-2, 2, (2, 3, 6, 6))
+        kernel = rng.uniform(-1, 1, (4, 3, 3, 3))
+        frozen_w = T.conv2d(Tensor(data, requires_grad=True), Tensor(kernel), 2, 1)
+        g = np.ones(frozen_w.shape)
+        gx, gw = frozen_w._vjp(g)
+        assert gx.shape == data.shape and gw is None
+        const_x = T.conv2d(Tensor(data), Tensor(kernel, requires_grad=True), 2, 1)
+        gx, gw = const_x._vjp(g)
+        assert gx is None and gw.shape == kernel.shape
+
+
+class TestBlendNormalize:
+    C = 3
+
+    def make_inputs(self, seed, w_shape):
+        rng = np.random.default_rng(seed)
+        c = self.C
+        x = Tensor(rng.uniform(-2, 2, (4, c, 5, 5)), requires_grad=True)
+        w = Tensor(rng.uniform(0.1, 0.9, w_shape), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
+        beta = Tensor(rng.uniform(-0.5, 0.5, c), requires_grad=True)
+        mu_g = rng.uniform(-0.5, 0.5, (1, c, 1, 1))
+        sigma_g = rng.uniform(0.8, 1.5, (1, c, 1, 1))
+        proj = rng.standard_normal(x.shape)
+        return x, w, gamma, beta, mu_g, sigma_g, proj
+
+    @pytest.mark.parametrize("w_shape", [(1, C, 1, 1), (4, 1, 1, 1)])
+    def test_gradients_match_finite_differences(self, w_shape):
+        x, w, gamma, beta, mu_g, sigma_g, proj = self.make_inputs(6, w_shape)
+
+        def loss():
+            out = T.blend_normalize(x, w, mu_g, sigma_g, gamma, beta, 1e-5)
+            return T.tsum(T.mul(out, Tensor(proj)))
+
+        check_grads(loss, [x, w, gamma, beta], tol=1e-6)
+
+    @pytest.mark.parametrize("w_shape", [(1, C, 1, 1), (4, 1, 1, 1)])
+    def test_matches_composite_reference(self, w_shape):
+        x, w, gamma, beta, mu_g, sigma_g, proj = self.make_inputs(7, w_shape)
+        out = T.blend_normalize(x, w, mu_g, sigma_g, gamma, beta, 1e-5)
+        mu_i = x.data.mean(axis=(2, 3), keepdims=True)
+        sigma_i = np.sqrt(x.data.var(axis=(2, 3), keepdims=True) + 1e-5)
+        mu = w.data * mu_i + (1 - w.data) * mu_g
+        sigma = w.data * sigma_i + (1 - w.data) * sigma_g
+        want = (x.data - mu) / sigma * gamma.data.reshape(1, -1, 1, 1) \
+            + beta.data.reshape(1, -1, 1, 1)
+        assert rel_err(out.data, want) < 1e-12
+
+    def test_clamp_warns_and_blocks_sigma_gradient(self):
+        # w = 3 on channel 0 extrapolates the std below zero there
+        x, w, gamma, beta, mu_g, sigma_g, proj = self.make_inputs(8, (1, self.C, 1, 1))
+        x.data[:, 0] *= 0.2
+        w.data[0, 0, 0, 0] = 3.0
+        with pytest.warns(UserWarning, match="clamping"):
+            out = T.blend_normalize(x, w, mu_g, sigma_g, gamma, beta, 1e-5)
+        assert np.all(np.isfinite(out.data))
+
+        def loss():
+            out = T.blend_normalize(x, w, mu_g, sigma_g, gamma, beta, 1e-5)
+            return T.tsum(T.mul(out, Tensor(proj)))
+
+        # A clamped std is the constant eps, so finite differences see no
+        # path through it: any gradient leaking through the clamp would show.
+        with pytest.warns(UserWarning):
+            check_grads(loss, [x, w, gamma, beta], tol=1e-4)
+
+    def test_constant_weight_gets_no_gradient(self):
+        x, w, gamma, beta, mu_g, sigma_g, proj = self.make_inputs(9, (1, self.C, 1, 1))
+        w.requires_grad = False
+        out = T.blend_normalize(x, w, mu_g, sigma_g, gamma, beta, 1e-5)
+        gx, gw, ggamma, gbeta = out._vjp(proj)
+        assert gw is None and gx.shape == x.shape and ggamma.shape == (self.C,)
+
+    def test_degenerate_spatial_rejected(self):
+        x = Tensor(np.zeros((2, 3, 1, 1)))
+        with pytest.raises(InputError):
+            T.blend_normalize(x, Tensor(np.full((1, 3, 1, 1), 0.5)), np.zeros((1, 3, 1, 1)),
+                              np.ones((1, 3, 1, 1)), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                              1e-5)
+
 
 class TestElementwise:
     def test_relu(self):
@@ -205,6 +310,14 @@ class TestBackward:
         once = x.grad.copy()
         loss.backward()
         assert np.array_equal(x.grad, 2 * once)
+
+    def test_intermediate_nodes_keep_no_grad(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        y = T.mul(x, x)
+        z = T.relu(y)
+        T.tsum(z).backward()
+        assert y.grad is None and z.grad is None
+        assert np.array_equal(x.grad, 2 * x.data)
 
     def test_zeroing_then_backward_matches_fresh_graph(self):
         rng = np.random.default_rng(12)
