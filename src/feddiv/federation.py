@@ -251,10 +251,8 @@ class ClientState:
 class ServerState:
     """Global bundle, synthesized statistics, round ledger, best snapshot."""
 
-    def __init__(self, bundle: dict, n_layers: int, strategy: str, seed: int):
+    def __init__(self, bundle: dict, n_layers: int, seed: int):
         self.bundle = bundle
-        self.strategy = strategy
-        self.round = 0
         self.n_layers = n_layers
         self.global_stats = [(np.zeros_like(bundle[f"block{i}.bn.local_mean"]),
                               np.ones_like(bundle[f"block{i}.bn.local_var"]))
@@ -401,7 +399,6 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
     ledger: list[dict] = []
 
     for rnd in range(plan.rounds):
-        server.round = rnd
         if plan.participants_per_round is None or plan.participants_per_round >= len(clients):
             participants = list(clients)
         else:

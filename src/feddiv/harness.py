@@ -75,7 +75,7 @@ def run_seed(cfg: dict, seed: int) -> dict:
     template = SmallConvNet(seed=seed, **model_cfg)
     template_adapters = make_adapters(template, hidden, seed=seed)
     server = ServerState(extract_bundle(template, template_adapters),
-                         n_layers=len(m["widths"]), strategy=tcfg.strategy, seed=seed)
+                         n_layers=len(m["widths"]), seed=seed)
 
     clients = []
     for i, entry in enumerate(bench.train_clients):

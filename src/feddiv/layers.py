@@ -83,11 +83,11 @@ class DualBNLayer:
         count = n * h * w
         if count < 2:
             raise InputError("bn_forward_train: need at least 2 values per channel")
-        out = T.batch_norm_train(x, self.gamma, self.beta, self.eps)
+        stats: list[np.ndarray] = []
+        out = T.batch_norm_train(x, self.gamma, self.beta, self.eps, stats)
 
         m = self.momentum
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mu, var = stats
         unbiased = var * (count / (count - 1))
         self.local_mean = (1 - m) * self.local_mean + m * mu
         self.local_var = (1 - m) * self.local_var + m * unbiased

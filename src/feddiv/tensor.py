@@ -218,7 +218,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0  # subgradient at 0 is 0
-    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    # fmax maps NaN to 0 and keeps x's memory order; adding 0.0 turns -0.0
+    # into +0.0, so this equals np.where(mask, x, 0.0) bit for bit.
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
+    return _make(out, (x,), lambda g: (g * mask,))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -254,7 +258,9 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        gx = np.empty_like(x.data)  # in x's memory order
+        np.copyto(gx, np.broadcast_to(g, x.shape))
+        return (gx,)
 
     return _make(data, (x,), vjp)
 
@@ -266,7 +272,9 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape) / count,)
+        # written in x's memory order: a C-ordered gradient would make every
+        # VJP upstream of a batch-innermost activation mix two layouts
+        return (np.divide(np.broadcast_to(g, x.shape), count, out=np.empty_like(x.data)),)
 
     return _make(data, (x,), vjp)
 
@@ -285,7 +293,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Direct 2D convolution (cross-correlation), NCHW x FCkk -> NFH'W'."""
+    """Direct 2D convolution (cross-correlation), NCHW x FCkk -> NFH'W'.
+
+    The output has the logical NCHW shape but is laid out batch-innermost,
+    as (F, H', W', N) memory. Fed such an input, im2col copies contiguous
+    runs over the batch, and the VJP reads ``g`` without a copy. Any other
+    input layout is accepted and gives the same numbers.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4D input and kernel, got {x.shape}, {w.shape}")
     n, c, h, wd = x.shape
@@ -302,31 +316,35 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wd + 2 * pad - kw) // stride + 1
 
     hp, wp = h + 2 * pad, wd + 2 * pad
+    x_chwn = x.data.transpose(1, 2, 3, 0)
     if pad:
-        xp = np.zeros((n, c, hp, wp))
-        xp[:, :, pad : pad + h, pad : pad + wd] = x.data
+        xp = np.zeros((c, hp, wp, n))
+        xp[:, pad : pad + h, pad : pad + wd] = x_chwn
     else:
-        xp = x.data
-    # im2col: one strided view in (c, kh, kw, n, ho, wo) order, copied once.
-    sn, sc, sh, sw = xp.strides
+        xp = np.ascontiguousarray(x_chwn)
+    # im2col: one strided view in (c, kh, kw, ho, wo, n) order, copied once.
+    sc, sh, sw, sn = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(c, kh, kw, n, ho, wo),
-        strides=(sc, sh, sw, sn, stride * sh, stride * sw), writeable=False)
+        xp, shape=(c, kh, kw, ho, wo, n),
+        strides=(sc, sh, sw, stride * sh, stride * sw, sn), writeable=False)
     ckk = c * kh * kw
-    cols_flat = windows.reshape(ckk, n * ho * wo)
+    cols_flat = windows.reshape(ckk, ho * wo * n)
     w2 = w.data.reshape(f, ckk)
-    out = (w2 @ cols_flat).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+    out = (w2 @ cols_flat).reshape(f, ho, wo, n).transpose(3, 0, 1, 2)
 
     def vjp(g):
-        g_flat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        # a view when g is batch-innermost, as every op downstream keeps it
+        g_flat = g.transpose(1, 2, 3, 0).reshape(f, ho * wo * n)
         gw = (g_flat @ cols_flat.T).reshape(w.shape) if w.requires_grad else None
         gx = None
         if x.requires_grad:
-            gcols = w2.T @ g_flat  # rows in (c, kh, kw), columns in (n, ho, wo) order
+            gcols = w2.T @ g_flat  # rows in (c, kh, kw), columns in (ho, wo, n) order
             index = _col2im_index(n, c, hp, wp, kh, kw, ho, wo, stride)
             gxp = np.bincount(index, weights=gcols.reshape(-1),
-                              minlength=n * c * hp * wp).reshape(n, c, hp, wp)
-            gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
+                              minlength=c * hp * wp * n).reshape(c, hp, wp, n)
+            if pad:
+                gxp = gxp[:, pad : pad + h, pad : pad + wd]
+            gx = gxp.transpose(3, 0, 1, 2)
         return (gx, gw)
 
     return _make(out, (x, w), vjp)
@@ -334,20 +352,21 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 @functools.lru_cache(maxsize=16)
 def _col2im_index(n, c, hp, wp, kh, kw, ho, wo, stride) -> np.ndarray:
-    """Flat padded-input position of every im2col entry, in (c, kh, kw, n, ho, wo) order.
+    """Flat (c, hp, wp, n) padded-input position of every im2col entry.
 
-    ``np.bincount`` adds weights in array order, so in this tap-major order
-    each input cell sums its kernel taps in the same order as a loop over
-    (kh, kw) with strided ``+=`` would, and col2im stays bit-for-bit equal
-    to that loop. The cache is keyed by shape and bounded.
+    Entries come in (c, kh, kw, ho, wo, n) order. ``np.bincount`` adds
+    weights in array order, so in this tap-major order each input cell sums
+    its kernel taps in the same order as a loop over (kh, kw) with strided
+    ``+=`` would, and col2im stays bit-for-bit equal to that loop. The
+    cache is keyed by shape and bounded.
     """
     ci = np.arange(c).reshape(c, 1, 1, 1, 1, 1)
     ki = np.arange(kh).reshape(1, kh, 1, 1, 1, 1)
     kj = np.arange(kw).reshape(1, 1, kw, 1, 1, 1)
-    ni = np.arange(n).reshape(1, 1, 1, n, 1, 1)
-    oy = np.arange(ho).reshape(1, 1, 1, 1, ho, 1)
-    ox = np.arange(wo).reshape(1, 1, 1, 1, 1, wo)
-    index = (((ni * c + ci) * hp + ki + stride * oy) * wp + kj + stride * ox).reshape(-1)
+    oy = np.arange(ho).reshape(1, 1, 1, ho, 1, 1)
+    ox = np.arange(wo).reshape(1, 1, 1, 1, wo, 1)
+    ni = np.arange(n).reshape(1, 1, 1, 1, 1, n)
+    index = (((ci * hp + ki + stride * oy) * wp + kj + stride * ox) * n + ni).reshape(-1)
     index.setflags(write=False)
     return index
 
@@ -361,19 +380,25 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 # -- fused normalization -------------------------------------------------
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+                     batch_stats: list | None = None) -> Tensor:
     """Mini-batch normalization with affine transform, fused into one node.
 
     ``gamma``/``beta`` are (C,). Returns gamma * (x - mu)/sigma + beta where
     the statistics are taken over the (N, H, W) axes with biased variance.
-    The batch mean/variance are recomputable from ``x`` by the caller; this
-    op only owns the differentiable path.
+    If ``batch_stats`` is given, the batch mean and biased variance, each
+    (C,), are appended to it, so a caller updating running buffers need not
+    recompute them. The variance is the mean of squared deviations from the
+    mean, the same arithmetic as ``np.var``.
     """
     n, c, h, w = x.shape
     m = n * h * w
     mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
     xc = x.data - mu
-    s = np.sqrt((xc * xc).mean(axis=(0, 2, 3), keepdims=True) + eps)
+    var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
+    if batch_stats is not None:
+        batch_stats.extend((mu.reshape(c), var.reshape(c)))
+    s = np.sqrt(var + eps)
     xn = xc / s
     gd = gamma.data.reshape(1, c, 1, 1)
     out = xn * gd + beta.data.reshape(1, c, 1, 1)
@@ -447,8 +472,14 @@ def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
     sigma_i = np.sqrt((xm * xm).mean(axis=(2, 3), keepdims=True) + eps)
     wv = w.data
     one_minus = 1.0 - wv
-    mu = wv * mu_i + one_minus * mu_g
-    sigma = wv * sigma_i + one_minus * sigma_g
+    # Where w == 0 the instance statistics get no weight, not 0 times their
+    # value: an overflowing instance std would make that 0 * inf = NaN. The
+    # sums are taken in place so mu and sigma keep x's memory order.
+    blended = wv != 0
+    mu = np.multiply(wv, mu_i, out=np.zeros_like(mu_i), where=blended)
+    mu += one_minus * mu_g
+    sigma = np.multiply(wv, sigma_i, out=np.zeros_like(sigma_i), where=blended)
+    sigma += one_minus * sigma_g
     live = None
     if np.any(sigma <= 0):
         warnings.warn("mixed std reached <= 0 under extrapolation; clamping to eps")

@@ -249,8 +249,7 @@ def build_federation(seed=0, n_clients=3, parallel=False, rounds=2, iterations=4
     clients = [tiny_client(i, seed=seed) for i in range(n_clients)]
     template = SmallConvNet(seed=seed, **MODEL)
     template_adapters = make_adapters(template, 8, seed=seed)
-    server = ServerState(extract_bundle(template, template_adapters), n_layers=1,
-                         strategy="fedavg", seed=seed)
+    server = ServerState(extract_bundle(template, template_adapters), n_layers=1, seed=seed)
     plan = RoundPlan(rounds=rounds, iterations=iterations, val_every=2)
     cfg = default_cfg(parallel_clients=parallel)
     return clients, server, plan, cfg, template, template_adapters
@@ -282,7 +281,7 @@ class TestRunFederation:
             c.client_id = i
         template = SmallConvNet(seed=3, **MODEL)
         ad = make_adapters(template, 8, seed=3)
-        server = ServerState(extract_bundle(template, ad), 1, "fedavg", seed=3)
+        server = ServerState(extract_bundle(template, ad), 1, seed=3)
         plan = RoundPlan(rounds=1, iterations=4, val_every=2)
         _, _, ledger = run_federation(clients, server, plan, default_cfg(), template, ad)
         accs = [r["accuracy"] for r in ledger if r["split"] == "server_val"]
@@ -297,7 +296,7 @@ class TestRunFederation:
 
     def test_empty_client_list_rejected(self):
         template = SmallConvNet(seed=0, **MODEL)
-        server = ServerState(extract_bundle(template, None), 1, "fedavg", seed=0)
+        server = ServerState(extract_bundle(template, None), 1, seed=0)
         with pytest.raises(ProtocolError):
             run_federation([], server, default_plan(), default_cfg(), template, None)
 

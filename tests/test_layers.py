@@ -60,6 +60,25 @@ class TestBNTrain:
         assert np.allclose(bn.local_mean, 0.9 * 0 + 0.1 * mean)
         assert np.allclose(bn.local_var, 0.9 * 1 + 0.1 * var * count / (count - 1))
 
+    @pytest.mark.parametrize("batch_innermost", [False, True])
+    def test_running_stats_bitwise_equal_to_np_var(self, batch_innermost):
+        # the buffers come from the op's own statistics; they must carry the
+        # same bits as np.mean / np.var over (N, H, W) in either memory order
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2, 2, (6, 3, 4, 5))
+        if batch_innermost:
+            x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        bn = DualBNLayer(3)
+        bn.local_mean = rng.uniform(-1, 1, 3)
+        bn.local_var = rng.uniform(0.5, 2, 3)
+        m, count = bn.momentum, 6 * 4 * 5
+        want_mean = (1 - m) * bn.local_mean + m * x.mean(axis=(0, 2, 3))
+        want_var = (1 - m) * bn.local_var + m * (x.var(axis=(0, 2, 3)) * (count / (count - 1)))
+        out = bn.forward_train(Tensor(x))
+        assert isinstance(out, Tensor)
+        assert bn.local_mean.tobytes() == want_mean.tobytes()
+        assert bn.local_var.tobytes() == want_var.tobytes()
+
     def test_running_stats_bitwise_reproducible(self):
         rng = np.random.default_rng(4)
         batches = [rng.uniform(-2, 2, (3, 2, 4, 4)) for _ in range(5)]

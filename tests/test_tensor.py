@@ -180,6 +180,20 @@ class TestBlendNormalize:
         gx, gw, ggamma, gbeta = out._vjp(proj)
         assert gw is None and gx.shape == x.shape and ggamma.shape == (self.C,)
 
+    @pytest.mark.parametrize("w_shape", [(1, C, 1, 1), (4, 1, 1, 1)])
+    def test_zero_weight_ignores_overflowing_instance_stats(self, w_shape):
+        # the instance variance of 1e200-sized values overflows to inf; at
+        # w = 0 the blend must still be exactly the global statistics
+        x, w, gamma, beta, mu_g, sigma_g, _ = self.make_inputs(10, w_shape)
+        x.data[:] *= 1e200
+        w.data[:] = 0.0
+        with np.errstate(over="ignore", invalid="raise"):
+            out = T.blend_normalize(x, w, mu_g, sigma_g, gamma, beta, 1e-5)
+        want = (x.data - mu_g) / sigma_g * gamma.data.reshape(1, -1, 1, 1) \
+            + beta.data.reshape(1, -1, 1, 1)
+        assert np.all(np.isfinite(out.data))
+        assert np.array_equal(out.data, want)
+
     def test_degenerate_spatial_rejected(self):
         x = Tensor(np.zeros((2, 3, 1, 1)))
         with pytest.raises(InputError):
@@ -192,6 +206,13 @@ class TestElementwise:
     def test_relu(self):
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert out.data.tolist() == [0.0, 0.0, 2.0]
+
+    def test_relu_special_values_match_where(self):
+        x = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0])
+        out = T.relu(Tensor(x)).data
+        want = np.where(x > 0, x, 0.0)
+        assert out.tobytes() == want.tobytes()
+        assert not np.signbit(out).any()
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([0.0, -1.0, 3.0], requires_grad=True)
