@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .layers import BNMode, DualBNLayer, Linear, SmallConvNet, instance_stats
+from .layers import BNMode, Linear, SmallConvNet, instance_stats
 from .tensor import Tensor
 
 DEFAULT_HIDDEN_DIM = 32
@@ -99,24 +99,28 @@ def alpha_test(delta: Tensor, epsilon: Tensor) -> AlphaSample:
     return AlphaSample(alpha=alpha, delta=delta, epsilon=epsilon, z=None)
 
 
-def interpolated_bn_forward(layer: DualBNLayer, x: Tensor, alpha: Tensor) -> Tensor:
-    """Normalize with per-sample interpolated statistics (scalar per sample)."""
-    return layer.forward_interpolated(x, alpha)
-
-
 def _layer_alpha_provider(net: SmallConvNet, adapters: list[InstanceAdapter], mode: str,
                           rng: np.random.Generator | None, fixed_value: float):
-    """Build the per-layer alpha callable used by the interpolated forward."""
+    """Build the per-layer alpha callable used by the interpolated forward.
+
+    The ``"random"`` mode draws one (N, n_layers) block at layer 0 and gives
+    layer i column i, so one generator hands each sample the same alphas
+    however the samples are split into forward passes.
+    """
     bns = net.bn_layers()
+    random_block = None
 
     def alpha_for(layer_idx: int, h: Tensor) -> Tensor:
+        nonlocal random_block
         n = h.shape[0]
         if mode == "fixed":
             return Tensor(np.full((n, 1), np.clip(fixed_value, 0.0, 1.0)))
         if mode == "random":
             if rng is None:
                 raise ConfigError("random alpha mode needs an RNG")
-            return Tensor(rng.uniform(0.0, 1.0, size=(n, 1)))
+            if layer_idx == 0:
+                random_block = rng.uniform(0.0, 1.0, size=(n, len(bns)))
+            return Tensor(random_block[:, layer_idx : layer_idx + 1])
         bn = bns[layer_idx]
         bn._require_global()
         mu_i, sigma_i = instance_stats(h.data, bn.eps)

@@ -53,7 +53,6 @@ DEFAULTS = {
     "adapter": {
         "enabled": False,
         "hidden_dim": 32,
-        "mode": "learned",
         "fixed_value": 0.5,
         "warmup_rounds": 0,
         "lr": 0.005,
@@ -96,7 +95,6 @@ _TYPES = {
     ("diversify", "stop_gradient_features"): bool,
     ("adapter", "enabled"): bool,
     ("adapter", "hidden_dim"): int,
-    ("adapter", "mode"): str,
     ("adapter", "fixed_value"): float,
     ("adapter", "warmup_rounds"): int,
     ("adapter", "lr"): float,
@@ -159,8 +157,6 @@ def _semantic_checks(cfg: dict):
             f"federation.stat_aggregation: unknown method {f['stat_aggregation']!r}")
     if d["distribution"] not in ("uniform", "fixed"):
         raise ConfigError(f"diversify.distribution: unknown kind {d['distribution']!r}")
-    if a["mode"] not in ("learned", "fixed", "random"):
-        raise ConfigError(f"adapter.mode: unknown mode {a['mode']!r}")
     if a["lr"] <= 0:
         raise ConfigError(f"adapter.lr must be positive, got {a['lr']}")
     if not 0.0 <= cfg["loss"]["lambda1"] <= 1.0:

@@ -86,11 +86,6 @@ def mix_statistics(mu_inst: np.ndarray, sigma_inst: np.ndarray, mu_g: np.ndarray
     return mu, sigma
 
 
-def diversified_forward(net: SmallConvNet, x: Tensor, ctx: MixContext) -> tuple[Tensor, Tensor]:
-    """Forward pass where every BN layer uses per-sample mixed statistics."""
-    return net.forward(x, BNMode.MIXED_DIVERSIFY, ctx)
-
-
 def local_loss(net: SmallConvNet, batch: Tensor, labels: np.ndarray, ctx: MixContext,
                weights: LossWeights, stop_gradient_features: bool = False):
     """Total local objective and its components.
@@ -102,7 +97,7 @@ def local_loss(net: SmallConvNet, batch: Tensor, labels: np.ndarray, ctx: MixCon
     features, logits = net.forward(batch, BNMode.TRAIN_BATCH)
     ce = T.softmax_cross_entropy(logits, labels)
 
-    f_div, logits_div = diversified_forward(net, batch, ctx)
+    f_div, logits_div = net.forward(batch, BNMode.MIXED_DIVERSIFY, ctx)
     cacl = T.softmax_cross_entropy(logits_div, labels)
     f_div_for_mse = f_div.detach() if stop_gradient_features else f_div
     cafl = T.mse(features, f_div_for_mse)

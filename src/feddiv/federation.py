@@ -348,8 +348,7 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
                                            adapter_opt, client.adapter_rng)
 
         if (it + 1) % plan.val_every == 0 or it == plan.iterations - 1:
-            acc = evaluate_net(client.net, client.adapters, client.val_data, "eval_global",
-                               cfg.batch_size)
+            acc = evaluate_net(client.net, client.adapters, client.val_data, "eval_global")
             if acc > best_val:
                 best_val = acc
                 best_bundle = extract_bundle(client.net, client.adapters)
@@ -362,17 +361,27 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
 
 # -- evaluation --------------------------------------------------------------
 
+# Images per forward-only pass. Every inference mode treats each image on its
+# own, so the chunk size changes only how many images share one pass, and a
+# large chunk spreads each op's fixed Python and NumPy cost over more images.
+EVAL_CHUNK = 256
+
+
 def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
-                 batch_size: int = 64, fixed_value: float = 0.5,
+                 fixed_value: float = 0.5,
                  rng: np.random.Generator | None = None) -> float:
-    """Fraction of correct argmax predictions under the given inference mode."""
+    """Fraction of correct argmax predictions under the given inference mode.
+
+    Runs ``EVAL_CHUNK`` images at a time, independent of the training batch
+    size.
+    """
     n = len(dataset.labels)
     if n == 0:
         raise InputError("evaluate: empty dataset")
     correct = 0
     with T.no_grad():
-        for start in range(0, n, batch_size):
-            x = Tensor(dataset.images[start : start + batch_size])
+        for start in range(0, n, EVAL_CHUNK):
+            x = Tensor(dataset.images[start : start + EVAL_CHUNK])
             if inference_mode == "eval_global":
                 _, logits = net.forward(x, BNMode.EVAL_GLOBAL)
             elif inference_mode == "adaptive":
@@ -384,7 +393,7 @@ def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
             else:
                 raise InputError(f"unknown inference mode {inference_mode!r}")
             pred = logits.data.argmax(axis=1)
-            correct += int((pred == dataset.labels[start : start + batch_size]).sum())
+            correct += int((pred == dataset.labels[start : start + EVAL_CHUNK]).sum())
     return correct / n
 
 
@@ -432,8 +441,7 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
         eval_net.set_global_stats([(m.copy(), v.copy()) for m, v in server.global_stats])
         accs = []
         for c, m in zip(ordered_clients, metrics):
-            acc = evaluate_net(eval_net, eval_adapters, c.val_data, "eval_global",
-                               cfg.batch_size)
+            acc = evaluate_net(eval_net, eval_adapters, c.val_data, "eval_global")
             accs.append(acc)
             ledger.append({"round": rnd, "client_id": c.client_id, "split": "server_val",
                            "accuracy": acc, "ce": m["ce"], "cacl": m["cacl"],

@@ -95,7 +95,6 @@ def run_seed(cfg: dict, seed: int) -> dict:
     for mode in INFERENCE_MODES:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
         accuracies[mode] = evaluate_net(template, template_adapters, bench.test_set, mode,
-                                        tcfg.batch_size,
                                         fixed_value=cfg["adapter"]["fixed_value"], rng=rng)
     return {
         "seed": seed,

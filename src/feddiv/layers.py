@@ -44,9 +44,8 @@ def instance_stats(x: np.ndarray, eps: float = EPS) -> tuple[np.ndarray, np.ndar
         raise InputError(f"instance_stats: need NCHW input, got shape {x.shape}")
     if x.shape[2] * x.shape[3] < 2:
         raise InputError("instance_stats: spatial size must be >= 2, std undefined for 1 pixel")
-    mu = x.mean(axis=(2, 3))
-    var = x.var(axis=(2, 3))
-    return mu, np.sqrt(var + eps)
+    mu, _, sigma = T._instance_moments(x, eps)
+    return mu.reshape(x.shape[:2]), sigma.reshape(x.shape[:2])
 
 
 class DualBNLayer:

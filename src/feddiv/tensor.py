@@ -447,6 +447,24 @@ def normalize_affine(x: Tensor, mean: Tensor, std: Tensor, gamma: Tensor, beta: 
     return _make(out, (x, mean, std, gamma, beta), vjp)
 
 
+def _instance_moments(x: np.ndarray, eps: float):
+    """Each sample's per-channel spatial mean, centred input and std.
+
+    Returns ``(mu, x - mu, sqrt(var + eps))``; ``mu`` and the std are
+    (N, C, 1, 1) and ``var`` is the biased variance. This is the arithmetic
+    of ``np.mean``/``np.var`` over axes (2, 3), bit for bit, without their
+    Python wrappers: sum, divide by the count, centre, square, sum, divide.
+    """
+    m = x.shape[2] * x.shape[3]
+    mu = np.add.reduce(x, axis=(2, 3), keepdims=True)
+    mu /= m
+    xm = x - mu
+    var = np.add.reduce(xm * xm, axis=(2, 3), keepdims=True)
+    var /= m
+    var += eps
+    return mu, xm, np.sqrt(var, out=var)
+
+
 def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
                     gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize by ``w * instance + (1 - w) * global`` statistics, one tape node.
@@ -467,9 +485,7 @@ def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
     if m < 2:
         raise InputError("blend_normalize: spatial size must be >= 2, std undefined "
                          "for 1 pixel")
-    mu_i = x.data.mean(axis=(2, 3), keepdims=True)
-    xm = x.data - mu_i
-    sigma_i = np.sqrt((xm * xm).mean(axis=(2, 3), keepdims=True) + eps)
+    mu_i, xm, sigma_i = _instance_moments(x.data, eps)
     wv = w.data
     one_minus = 1.0 - wv
     # Where w == 0 the instance statistics get no weight, not 0 times their

@@ -4,7 +4,7 @@ import pytest
 import feddiv.tensor as T
 from feddiv.adapter import (InstanceAdapter, adapter_parameters, adapter_train_step,
                             adaptive_inference, alpha_test, baseline_alpha_inference,
-                            interpolated_bn_forward, make_adapters, reparam_alpha_train)
+                            make_adapters, reparam_alpha_train)
 from feddiv.errors import ConfigError, InputError
 from feddiv.federation import SGD
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
@@ -110,7 +110,7 @@ class TestInterpolatedBN:
     def test_alpha_zero_matches_eval_global(self):
         bn = self.make_layer(1)
         x = Tensor(np.random.default_rng(4).uniform(-2, 2, (3, 3, 4, 4)))
-        out = interpolated_bn_forward(bn, x, Tensor(np.zeros((3, 1))))
+        out = bn.forward_interpolated(x, Tensor(np.zeros((3, 1))))
         want = bn.forward_eval_global(x)
         assert rel_err(out.data, want.data) < 1e-10
 
@@ -118,7 +118,7 @@ class TestInterpolatedBN:
         bn = self.make_layer(2)
         x = np.random.default_rng(5).uniform(-2, 2, (2, 3, 4, 4))
         x[:, 1] = 0.4  # constant channel: instance sigma = sqrt(eps), mean removes it
-        out = interpolated_bn_forward(bn, Tensor(x), Tensor(np.ones((2, 1))))
+        out = bn.forward_interpolated(Tensor(x), Tensor(np.ones((2, 1))))
         assert np.allclose(out.data[:, 1], bn.beta.data[1], atol=1e-8)
 
     def test_random_alpha_matches_scalar_oracle(self):
@@ -126,7 +126,7 @@ class TestInterpolatedBN:
         rng = np.random.default_rng(6)
         x = rng.uniform(-2, 2, (3, 3, 5, 5))
         alpha = rng.uniform(0, 1, (3, 1))
-        out = interpolated_bn_forward(bn, Tensor(x), Tensor(alpha)).data
+        out = bn.forward_interpolated(Tensor(x), Tensor(alpha)).data
         mu_i, sigma_i = instance_stats(x, bn.eps)
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         want = np.empty_like(x)

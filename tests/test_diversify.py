@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
-from feddiv.diversify import (LossWeights, MixContext, SamplingDistribution,
-                              diversified_forward, local_loss, mix_statistics,
-                              sample_mix_context)
+from feddiv.diversify import (LossWeights, MixContext, SamplingDistribution, local_loss,
+                              mix_statistics, sample_mix_context)
 from feddiv.errors import ConfigError, UninitializedStatisticsError
 from feddiv.layers import BNMode, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
@@ -101,14 +100,14 @@ class TestDiversifiedForward:
         ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.5),
                                  np.random.default_rng(0))
         with pytest.raises(UninitializedStatisticsError):
-            diversified_forward(net, Tensor(np.zeros((2, 3, 16, 16))), ctx)
+            net.forward(Tensor(np.zeros((2, 3, 16, 16))), BNMode.MIXED_DIVERSIFY, ctx)
 
     def test_u_zero_equals_eval_global(self):
         net = make_net(seed=1)
         x = Tensor(np.random.default_rng(6).uniform(0, 1, (3, 3, 16, 16)))
         ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.0),
                                  np.random.default_rng(0))
-        f_div, logits_div = diversified_forward(net, x, ctx)
+        f_div, logits_div = net.forward(x, BNMode.MIXED_DIVERSIFY, ctx)
         f_glob, logits_glob = net.forward(x, BNMode.EVAL_GLOBAL)
         assert rel_err(f_div.data, f_glob.data) < 1e-10
         assert rel_err(logits_div.data, logits_glob.data) < 1e-10
@@ -118,7 +117,7 @@ class TestDiversifiedForward:
         x = np.random.default_rng(7).uniform(0, 1, (2, 3, 16, 16))
         ctx = sample_mix_context(net, SamplingDistribution("fixed", value=1.0),
                                  np.random.default_rng(0))
-        f_div, _ = diversified_forward(net, Tensor(x), ctx)
+        f_div, _ = net.forward(Tensor(x), BNMode.MIXED_DIVERSIFY, ctx)
 
         h = x  # scripted pure-instance normalization replay
         for conv, bn in net.blocks:
@@ -135,8 +134,8 @@ class TestDiversifiedForward:
         before = {k: v.copy() for k, v in net.bn_stats().items()}
         ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1),
                                  np.random.default_rng(1))
-        diversified_forward(net, Tensor(np.random.default_rng(8).uniform(0, 1, (2, 3, 16, 16))),
-                            ctx)
+        net.forward(Tensor(np.random.default_rng(8).uniform(0, 1, (2, 3, 16, 16))),
+                    BNMode.MIXED_DIVERSIFY, ctx)
         after = net.bn_stats()
         for k in before:
             assert np.array_equal(before[k], after[k])
@@ -146,7 +145,7 @@ class TestDiversifiedForward:
         x = np.random.default_rng(9).uniform(0, 1, (2, 3, 16, 16))
         ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.3),
                                  np.random.default_rng(0))
-        f_div, logits_div = diversified_forward(net, Tensor(x), ctx)
+        f_div, logits_div = net.forward(Tensor(x), BNMode.MIXED_DIVERSIFY, ctx)
 
         h = x
         for (conv, bn), u in zip(net.blocks, ctx.u_vectors):
@@ -192,7 +191,7 @@ class TestLocalLoss:
         _, comps = local_loss(net, x, labels, ctx, LossWeights(0.1, 4.0))
         assert comps["cafl"] > 0.0
 
-        f1, _ = diversified_forward(net, x, ctx)
+        f1, _ = net.forward(x, BNMode.MIXED_DIVERSIFY, ctx)
         assert float(T.mse(f1, f1).data) == 0.0
 
     def test_component_recombination_paper_weights(self):

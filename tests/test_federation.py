@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from feddiv import federation
 from feddiv.adapter import make_adapters
 from feddiv.diversify import LossWeights, SamplingDistribution
 from feddiv.domains import Dataset, DomainSpec, apply_domain, generate_base
@@ -228,12 +229,13 @@ class TestEvaluate:
         acc = evaluate_net(net, None, ds, "eval_global")
         assert abs(acc - 1 / 3) < 0.02  # argmax ties resolve to class 0
 
-    def test_matches_manual_count(self):
+    def test_matches_manual_count(self, monkeypatch):
+        monkeypatch.setattr(federation, "EVAL_CHUNK", 7)
         net = SmallConvNet(seed=1, **MODEL)
         for bn in net.bn_layers():
             bn.set_global_stats(np.zeros(bn.channels), np.ones(bn.channels))
         ds = tiny_dataset(n=30, seed=21)
-        acc = evaluate_net(net, None, ds, "eval_global", batch_size=7)
+        acc = evaluate_net(net, None, ds, "eval_global")
         _, logits = net.forward(Tensor(ds.images), BNMode.EVAL_GLOBAL)
         want = (logits.data.argmax(axis=1) == ds.labels).sum() / len(ds)
         assert acc == pytest.approx(want)
@@ -243,6 +245,54 @@ class TestEvaluate:
         empty = Dataset(np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=np.int64))
         with pytest.raises(InputError):
             evaluate_net(net, None, empty, "eval_global")
+
+    @pytest.mark.parametrize("mode", ["eval_global", "adaptive", "fixed_alpha",
+                                      "random_alpha"])
+    def test_chunk_size_changes_nothing(self, mode, monkeypatch):
+        # two BN layers, so the random baseline's per-layer draws are covered
+        net = SmallConvNet(in_channels=3, widths=(4, 6), num_classes=3, seed=2)
+        rng = np.random.default_rng(23)
+        for bn in net.bn_layers():
+            bn.set_global_stats(rng.uniform(-0.5, 0.5, bn.channels),
+                                rng.uniform(0.5, 2.0, bn.channels))
+        adapters = make_adapters(net, 8, seed=2)
+        ds = tiny_dataset(n=150, seed=24)
+
+        forward = net.forward
+        runs = []
+        for chunk in (7, 64, len(ds.labels)):
+            logits, alphas = [], {}
+
+            def recording(x, bn_mode, ctx=None, logits=logits, alphas=alphas):
+                provider = ctx
+                if callable(ctx):
+                    def provider(i, h):
+                        alpha = ctx(i, h)
+                        alphas.setdefault(i, []).append(alpha.data.copy())
+                        return alpha
+                features, out = forward(x, bn_mode, provider)
+                logits.append(out.data)
+                return features, out
+
+            monkeypatch.setattr(federation, "EVAL_CHUNK", chunk)
+            monkeypatch.setattr(net, "forward", recording)
+            acc = evaluate_net(net, adapters, ds, mode, rng=np.random.default_rng(5))
+            runs.append((acc, np.concatenate(logits),
+                         {i: np.concatenate(a) for i, a in alphas.items()}))
+
+        acc0, logits0, alphas0 = runs[0]
+        assert len(logits0) == len(ds.labels)
+        if mode != "eval_global":
+            assert sorted(alphas0) == [0, 1]
+        for acc, logits, alphas in runs[1:]:
+            assert acc == acc0
+            np.testing.assert_allclose(logits, logits0, rtol=0, atol=1e-12)
+            assert alphas.keys() == alphas0.keys()
+            for i in alphas:
+                if mode == "adaptive":  # the adapter's matmuls may block by batch
+                    np.testing.assert_allclose(alphas[i], alphas0[i], rtol=0, atol=1e-12)
+                else:
+                    assert alphas[i].tobytes() == alphas0[i].tobytes()
 
 
 def build_federation(seed=0, n_clients=3, parallel=False, rounds=2, iterations=4):

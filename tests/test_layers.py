@@ -205,6 +205,28 @@ class TestInstanceStats:
         with pytest.raises(InputError):
             instance_stats(np.zeros((2, 3, 1, 1)))
 
+    @pytest.mark.parametrize("batch_innermost", [False, True])
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 5), (256, 16, 8, 8), (256, 32, 4, 4),
+                                       (256, 64, 2, 2)])
+    def test_bitwise_equal_to_np_mean_var(self, shape, batch_innermost):
+        # instance_stats and blend_normalize share one formula; it must carry
+        # the bits of np.mean / np.var over (H, W) in either memory order
+        x = np.random.default_rng(14).uniform(-2, 2, shape)
+        if batch_innermost:
+            x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        eps = 1e-5
+        mu, sigma = instance_stats(x, eps)
+        assert mu.tobytes() == x.mean(axis=(2, 3)).tobytes()
+        assert sigma.tobytes() == np.sqrt(x.var(axis=(2, 3)) + eps).tobytes()
+
+        mu4, xm, sigma4 = T._instance_moments(x, eps)
+        want_mu = x.mean(axis=(2, 3), keepdims=True)
+        want_xm = x - want_mu
+        assert mu4.tobytes() == want_mu.tobytes()
+        assert xm.tobytes() == want_xm.tobytes()
+        assert sigma4.tobytes() == np.sqrt(
+            (want_xm * want_xm).mean(axis=(2, 3), keepdims=True) + eps).tobytes()
+
 
 class TestSmallConvNetForward:
     def make_net(self, seed=0):
