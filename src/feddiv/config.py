@@ -6,7 +6,9 @@ import copy
 import hashlib
 import json
 
+from .diversify import LossWeights, SamplingDistribution
 from .errors import ConfigError
+from .federation import STAT_AGGREGATIONS, STRATEGIES
 
 DEFAULTS = {
     "benchmark": {
@@ -35,6 +37,7 @@ DEFAULTS = {
         "batch_size": 64,
         "prox_mu": 0.1,
         "participants_per_round": None,
+        # Clients always run one after another; only false is accepted.
         "parallel_clients": False,
         "stat_aggregation": "total_variance",
     },
@@ -150,19 +153,18 @@ def _semantic_checks(cfg: dict):
         )
     if b["partition"] not in ("iid", "dirichlet"):
         raise ConfigError(f"benchmark.partition: unknown mode {b['partition']!r}")
-    if f["strategy"] not in ("fedavg", "fedprox", "fedbn", "silobn"):
+    if f["strategy"] not in STRATEGIES:
         raise ConfigError(f"federation.strategy: unknown strategy {f['strategy']!r}")
-    if f["stat_aggregation"] not in ("total_variance", "mean"):
+    if f["stat_aggregation"] not in STAT_AGGREGATIONS:
         raise ConfigError(
             f"federation.stat_aggregation: unknown method {f['stat_aggregation']!r}")
-    if d["distribution"] not in ("uniform", "fixed"):
-        raise ConfigError(f"diversify.distribution: unknown kind {d['distribution']!r}")
+    if f["parallel_clients"]:
+        raise ConfigError("federation.parallel_clients: clients run one after another; "
+                          "only false is accepted")
+    SamplingDistribution(d["distribution"], d["low"], d["high"], d["value"])
+    LossWeights(cfg["loss"]["lambda1"], cfg["loss"]["lambda2"])
     if a["lr"] <= 0:
         raise ConfigError(f"adapter.lr must be positive, got {a['lr']}")
-    if not 0.0 <= cfg["loss"]["lambda1"] <= 1.0:
-        raise ConfigError(f"loss.lambda1 must be in [0,1], got {cfg['loss']['lambda1']}")
-    if cfg["loss"]["lambda2"] < 0:
-        raise ConfigError(f"loss.lambda2 must be >= 0, got {cfg['loss']['lambda2']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
     if not all(isinstance(w, int) and w > 0 for w in cfg["model"]["widths"]):

@@ -8,14 +8,13 @@ vectors are redrawn per iteration, one per BN layer, one weight per channel.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .layers import EPS, BNMode, SmallConvNet
+from .layers import BNMode, SmallConvNet
 from .tensor import Tensor
 
 
@@ -63,27 +62,6 @@ def sample_mix_context(net: SmallConvNet, distribution: SamplingDistribution,
                        rng: np.random.Generator) -> MixContext:
     """Draw a fresh interpolation vector per BN layer."""
     return MixContext([distribution.draw(bn.channels, rng) for bn in net.bn_layers()])
-
-
-def mix_statistics(mu_inst: np.ndarray, sigma_inst: np.ndarray, mu_g: np.ndarray,
-                   sigma_g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-wise blend of instance and global statistics.
-
-    mu = u*mu_inst + (1-u)*mu_g, same for sigma. Blends standard
-    deviations, not variances. A non-positive blended sigma (possible when
-    u extrapolates outside [0,1]) is clamped to eps with a warning.
-    """
-    mu_inst, sigma_inst = np.asarray(mu_inst), np.asarray(sigma_inst)
-    mu_g, sigma_g, u = np.asarray(mu_g), np.asarray(sigma_g), np.asarray(u)
-    if not (mu_inst.shape[-1] == sigma_inst.shape[-1] == mu_g.shape[-1]
-            == sigma_g.shape[-1] == u.shape[-1]):
-        raise ConfigError("mix_statistics: channel counts disagree")
-    mu = u * mu_inst + (1.0 - u) * mu_g
-    sigma = u * sigma_inst + (1.0 - u) * sigma_g
-    if np.any(sigma <= 0):
-        warnings.warn("mixed std reached <= 0 under extrapolation; clamping to eps")
-        sigma = np.maximum(sigma, EPS)
-    return mu, sigma
 
 
 def local_loss(net: SmallConvNet, batch: Tensor, labels: np.ndarray, ctx: MixContext,

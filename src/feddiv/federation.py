@@ -9,7 +9,6 @@ participant validation accuracy is highest.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .tensor import Tensor
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("fedavg", "fedprox", "fedbn", "silobn")
+STAT_AGGREGATIONS = ("total_variance", "mean")
 
 
 # -- parameter bundles -----------------------------------------------------
@@ -130,6 +130,8 @@ def synthesize_global_stats(bn_stats_list: list[list[tuple[np.ndarray, np.ndarra
     """
     if not bn_stats_list:
         raise ProtocolError("synthesize_global_stats: empty participant set")
+    if method not in STAT_AGGREGATIONS:
+        raise ProtocolError(f"unknown stat aggregation method {method!r}")
     n_layers = len(bn_stats_list[0])
     if any(len(s) != n_layers for s in bn_stats_list):
         raise ProtocolError("synthesize_global_stats: layer sets disagree")
@@ -142,10 +144,8 @@ def synthesize_global_stats(bn_stats_list: list[list[tuple[np.ndarray, np.ndarra
             second = sum(w * (s[layer][1] + s[layer][0] ** 2)
                          for w, s in zip(weights, bn_stats_list))
             var_g = second - mu_g ** 2
-        elif method == "mean":
-            var_g = sum(w * s[layer][1] for w, s in zip(weights, bn_stats_list))
         else:
-            raise ProtocolError(f"unknown stat aggregation method {method!r}")
+            var_g = sum(w * s[layer][1] for w, s in zip(weights, bn_stats_list))
         if np.any(var_g < 0):
             log.warning("negative synthesized variance clamped to 0 (layer %d)", layer)
             var_g = np.maximum(var_g, 0.0)
@@ -212,7 +212,6 @@ class TrainConfig:
     prox_mu: float = 0.1
     stop_gradient_features: bool = False
     stat_aggregation: str = "total_variance"
-    parallel_clients: bool = False
 
 
 class ClientState:
@@ -415,14 +414,8 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
                                       replace=False)
             participants = [clients[i] for i in sorted(picks)]
 
-        def _one(client):
-            return local_update(client, server.bundle, server.global_stats, plan, cfg, rnd)
-
-        if cfg.parallel_clients and len(participants) > 1:
-            with ThreadPoolExecutor(max_workers=len(participants)) as pool:
-                results = list(pool.map(_one, participants))
-        else:
-            results = [_one(c) for c in participants]
+        results = [local_update(c, server.bundle, server.global_stats, plan, cfg, rnd)
+                   for c in participants]
 
         # canonical order: by client id
         order = np.argsort([c.client_id for c in participants])

@@ -50,7 +50,7 @@ def _train_config(cfg: dict) -> TrainConfig:
         adapter=a["enabled"], adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
         prox_mu=f["prox_mu"],
         stop_gradient_features=d["stop_gradient_features"],
-        stat_aggregation=f["stat_aggregation"], parallel_clients=f["parallel_clients"],
+        stat_aggregation=f["stat_aggregation"],
     )
 
 

@@ -10,8 +10,9 @@ and server-injected global buffers. Four normalization routes exist:
 * ``INTERPOLATED_ADAPTER`` - per-sample scalar blend of instance and global
   stats, weight supplied per sample (no buffer mutation).
 
-The two blended routes are one call each to the fused op
-``tensor.blend_normalize``; only the shape of the blend weight differs.
+The last three are one call each to the fused op ``tensor.blend_normalize``;
+only the blend weight differs: a constant zero, one weight per channel, or
+one weight per sample.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .tensor import Tensor
 
 EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+# Blend weight of the EVAL_GLOBAL route: global statistics only.
+_GLOBAL_ONLY = Tensor(0.0)
 
 
 class BNMode(enum.Enum):
@@ -95,10 +99,7 @@ class DualBNLayer:
     def forward_eval_global(self, x: Tensor) -> Tensor:
         """Pure normalization by the injected global statistics."""
         self._require_global()
-        c = self.channels
-        mu = self.global_mean.reshape(1, c, 1, 1)
-        sigma = np.sqrt(self.global_var + self.eps).reshape(1, c, 1, 1)
-        return T.normalize_affine(x, Tensor(mu), Tensor(sigma), self.gamma, self.beta)
+        return self._blend(x, _GLOBAL_ONLY)
 
     def forward_mixed(self, x: Tensor, u: np.ndarray) -> Tensor:
         """Normalize each sample with channel-wise mixed statistics.

@@ -1,43 +1,36 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The operation set is intentionally small: exactly what a conv/BN/linear
-classifier with statistic-mixing normalization needs. The graph is a
-dynamic tape rebuilt on every forward pass, so normalization paths that
-change per mode (batch stats, global stats, mixed, interpolated) need no
-special casing.
+classifier with statistic-mixing normalization needs. Normalization is two
+fused ops: ``batch_norm_train`` for mini-batch statistics and
+``blend_normalize`` for every blend of instance and global statistics,
+global-only test-time BN included. The graph is a dynamic tape rebuilt on
+every forward pass.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import threading
 import warnings
 
 import numpy as np
 
 from .errors import InputError, ShapeError
 
-_grad_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_grad_state, "enabled", True)
+_grad_enabled = True
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (pure inference).
-
-    The flag is thread-local so parallel client updates are unaffected by
-    another thread's evaluation pass.
-    """
-    prev = _grad_enabled()
-    _grad_state.enabled = False
+    """Disable tape recording inside the block (pure inference)."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _grad_state.enabled = prev
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -158,7 +151,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data, requires_grad=_grad_enabled() and any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
@@ -416,37 +409,6 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     return _make(out, (x, gamma, beta), vjp)
 
 
-def normalize_affine(x: Tensor, mean: Tensor, std: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """gamma * (x - mean)/std + beta with externally supplied statistics.
-
-    ``mean``/``std`` broadcast against ``x`` (e.g. (1,C,1,1) or (N,C,1,1))
-    and may carry gradients (mixed and interpolated paths). ``gamma`` and
-    ``beta`` are (C,).
-    """
-    c = x.shape[1]
-    gd = gamma.data.reshape(1, c, 1, 1)
-    xn = (x.data - mean.data) / std.data
-    out = xn * gd + beta.data.reshape(1, c, 1, 1)
-
-    def vjp(g):
-        gx = gmean = gstd = ggamma = gbeta = None
-        if x.requires_grad or mean.requires_grad or std.requires_grad:
-            gk = g * (gd / std.data)
-            if x.requires_grad:
-                gx = _unbroadcast(gk, x.shape)
-            if mean.requires_grad:
-                gmean = _unbroadcast(-gk, mean.shape)
-            if std.requires_grad:
-                gstd = _unbroadcast(-gk * xn, std.shape)
-        if gamma.requires_grad:
-            ggamma = (g * xn).sum(axis=(0, 2, 3))
-        if beta.requires_grad:
-            gbeta = g.sum(axis=(0, 2, 3))
-        return (gx, gmean, gstd, ggamma, gbeta)
-
-    return _make(out, (x, mean, std, gamma, beta), vjp)
-
-
 def _instance_moments(x: np.ndarray, eps: float):
     """Each sample's per-channel spatial mean, centred input and std.
 
@@ -472,42 +434,54 @@ def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
     Instance statistics are each sample's per-channel spatial mean and std
     (biased variance plus ``eps``). ``w`` broadcasts against (N, C, 1, 1):
     (1, C, 1, 1) blends per channel (feature diversification, MixStyle),
-    (N, 1, 1, 1) per sample (adapter interpolation). ``mu_g``/``sigma_g``
-    are constant global statistics shaped (1, C, 1, 1); ``gamma``/``beta``
-    are (C,). If a blended std is <= 0 (``w`` outside [0, 1]), every std is
-    clamped to at least ``eps`` with a warning, and the clamped entries
-    pass no gradient. Gradients flow into ``x``, ``w``, ``gamma`` and ``beta``.
+    (N, 1, 1, 1) per sample (adapter interpolation), and a constant zero
+    normalizes by the global statistics alone (test-time BN). ``mu_g``/
+    ``sigma_g`` are constant global statistics shaped (1, C, 1, 1);
+    ``gamma``/``beta`` are (C,). If a blended std is <= 0 (``w`` outside
+    [0, 1]), every std is clamped to at least ``eps`` with a warning, and the
+    clamped entries pass no gradient. Gradients flow into ``x``, ``w``,
+    ``gamma`` and ``beta``.
+
+    Instance statistics are computed only when they carry weight or ``w``
+    needs a gradient; otherwise the spatial size may be 1.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"blend_normalize: need NCHW input, got {x.shape}")
     _, c, h, wd = x.shape
     m = h * wd
-    if m < 2:
-        raise InputError("blend_normalize: spatial size must be >= 2, std undefined "
-                         "for 1 pixel")
-    mu_i, xm, sigma_i = _instance_moments(x.data, eps)
     wv = w.data
-    one_minus = 1.0 - wv
-    # Where w == 0 the instance statistics get no weight, not 0 times their
-    # value: an overflowing instance std would make that 0 * inf = NaN. The
-    # sums are taken in place so mu and sigma keep x's memory order.
-    blended = wv != 0
-    mu = np.multiply(wv, mu_i, out=np.zeros_like(mu_i), where=blended)
-    mu += one_minus * mu_g
-    sigma = np.multiply(wv, sigma_i, out=np.zeros_like(sigma_i), where=blended)
-    sigma += one_minus * sigma_g
+    instance = w.requires_grad or wv.any()
     live = None
-    if np.any(sigma <= 0):
-        warnings.warn("mixed std reached <= 0 under extrapolation; clamping to eps")
-        live = sigma > eps
-        sigma = np.clip(sigma, eps, np.inf)
+    if instance:
+        if m < 2:
+            raise InputError("blend_normalize: spatial size must be >= 2, std undefined "
+                             "for 1 pixel")
+        mu_i, xm, sigma_i = _instance_moments(x.data, eps)
+        one_minus = 1.0 - wv
+        # Where w == 0 the instance statistics get no weight, not 0 times their
+        # value: an overflowing instance std would make that 0 * inf = NaN. The
+        # sums are taken in place so mu and sigma keep x's memory order.
+        blended = wv != 0
+        mu = np.multiply(wv, mu_i, out=np.zeros_like(mu_i), where=blended)
+        mu += one_minus * mu_g
+        sigma = np.multiply(wv, sigma_i, out=np.zeros_like(sigma_i), where=blended)
+        sigma += one_minus * sigma_g
+        if np.any(sigma <= 0):
+            warnings.warn("mixed std reached <= 0 under extrapolation; clamping to eps")
+            live = sigma > eps
+            sigma = np.clip(sigma, eps, np.inf)
+    else:
+        mu, sigma = mu_g, sigma_g
     gd = gamma.data.reshape(1, c, 1, 1)
     xn = (x.data - mu) / sigma
     out = xn * gd + beta.data.reshape(1, c, 1, 1)
 
     def vjp(g):
         gx = gw = ggamma = gbeta = None
-        if x.requires_grad or w.requires_grad:
+        if not instance:
+            if x.requires_grad:
+                gx = g * (gd / sigma)
+        elif x.requires_grad or w.requires_grad:
             gk = g * (gd / sigma)
             gmu = -gk.sum(axis=(2, 3), keepdims=True)
             gsigma = -(gk * xn).sum(axis=(2, 3), keepdims=True)

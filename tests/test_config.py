@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
 from feddiv.config import (apply_overrides, benchmark_hash, config_hash, load_config)
 from feddiv.errors import ConfigError
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestLoadConfig:
@@ -60,6 +63,35 @@ class TestLoadConfig:
         path.write_text("{broken")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
+
+    def test_parallel_clients_only_false(self):
+        assert load_config(overrides=["federation.parallel_clients=false"])
+        with pytest.raises(ConfigError, match="federation.parallel_clients"):
+            load_config(overrides=["federation.parallel_clients=true"])
+
+    @pytest.mark.parametrize("overrides,match", [
+        (['federation.strategy="fedsgd"'], "strategy"),
+        (['federation.stat_aggregation="median"'], "stat_aggregation"),
+        (['diversify.distribution="gaussian"'], "distribution"),
+        (["diversify.low=0.9", "diversify.high=0.1"], "bounds"),
+        (["loss.lambda1=1.5"], "lambda1"),
+        (["loss.lambda2=-1"], "lambda2"),
+    ])
+    def test_choices_and_bounds_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(overrides=overrides)
+
+
+class TestBenchWorkloads:
+    def test_every_workload_loads(self, monkeypatch):
+        # a config key the benchmark sets must stay valid
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import workloads
+
+        assert workloads.WORKLOADS
+        for name in workloads.WORKLOADS:
+            cfg = workloads.workload_config(name, 0)
+            assert cfg["seeds"] == [0]
 
 
 class TestOverrides:

@@ -3,7 +3,7 @@ import pytest
 
 import feddiv.tensor as T
 from feddiv.diversify import (LossWeights, MixContext, SamplingDistribution, local_loss,
-                              mix_statistics, sample_mix_context)
+                              sample_mix_context)
 from feddiv.errors import ConfigError, UninitializedStatisticsError
 from feddiv.layers import BNMode, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
@@ -58,40 +58,55 @@ class TestSamplingDistribution:
 
 
 class TestMixStatistics:
+    """The channel-wise blend u * instance + (1 - u) * global, at the op that runs it."""
+
+    C = 4
+
+    def blend(self, x, u, mu_g, sigma_g, gamma=None, beta=None):
+        c = x.shape[1]
+        gamma = np.ones(c) if gamma is None else gamma
+        beta = np.zeros(c) if beta is None else beta
+        return T.blend_normalize(Tensor(x), Tensor(u.reshape(1, c, 1, 1)),
+                                 mu_g.reshape(1, c, 1, 1), sigma_g.reshape(1, c, 1, 1),
+                                 Tensor(gamma), Tensor(beta), 1e-5).data
+
+    def inputs(self, seed, c=C):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (3, c, 4, 4))
+        return x, rng.uniform(-1, 1, c), rng.uniform(0.5, 2, c), rng
+
     def test_u_one_gives_instance(self):
-        rng = np.random.default_rng(3)
-        mi, si = rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4)
-        mg, sg = rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4)
-        mu, sigma = mix_statistics(mi, si, mg, sg, np.ones(4))
-        assert np.array_equal(mu, mi) and np.array_equal(sigma, si)
+        x, mg, sg, _ = self.inputs(3)
+        mi, si = instance_stats(x)
+        want = (x - mi[:, :, None, None]) / si[:, :, None, None]
+        assert np.array_equal(self.blend(x, np.ones(self.C), mg, sg), want)
 
     def test_u_zero_gives_global(self):
-        rng = np.random.default_rng(4)
-        mi, si = rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4)
-        mg, sg = rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4)
-        mu, sigma = mix_statistics(mi, si, mg, sg, np.zeros(4))
-        assert np.array_equal(mu, mg) and np.array_equal(sigma, sg)
+        x, mg, sg, _ = self.inputs(4)
+        want = (x - mg.reshape(1, -1, 1, 1)) / sg.reshape(1, -1, 1, 1)
+        assert np.array_equal(self.blend(x, np.zeros(self.C), mg, sg), want)
 
     def test_midpoint(self):
-        mu, _ = mix_statistics(np.array([2.0]), np.array([1.0]), np.array([4.0]),
-                               np.array([1.0]), np.array([0.5]))
-        assert mu.tolist() == [3.0]
+        # instance mean 2 and global mean 4 blend to 3, which maps to beta = 0
+        x = np.tile(np.array([1.0, 3.0]), 8).reshape(1, 1, 4, 4)
+        out = self.blend(x, np.array([0.5]), np.array([4.0]), np.array([1.0]))
+        assert np.all(out[x == 3.0] == 0.0) and np.all(out[x == 1.0] < 0.0)
 
     def test_negative_sigma_clamped_with_warning(self):
-        with pytest.warns(UserWarning):
-            _, sigma = mix_statistics(np.array([0.0]), np.array([0.1]), np.array([0.0]),
-                                      np.array([10.0]), np.array([1.2]))
-        assert sigma[0] == pytest.approx(1e-5)
+        # u = 1.2 extrapolates 1.2 * sigma_i - 0.2 * 10 below zero
+        x = np.tile(np.array([-0.1, 0.1]), 8).reshape(1, 1, 4, 4)
+        with pytest.warns(UserWarning, match="clamping"):
+            out = self.blend(x, np.array([1.2]), np.array([0.0]), np.array([10.0]))
+        np.testing.assert_allclose(out, x / 1e-5, rtol=1e-12)
 
     def test_channel_permutation_consistency(self):
-        rng = np.random.default_rng(5)
-        mi, si = rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6)
-        mg, sg = rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6)
+        x, mg, sg, rng = self.inputs(5, c=6)
         u = rng.uniform(0, 1, 6)
-        mu, sigma = mix_statistics(mi, si, mg, sg, u)
+        gamma, beta = rng.uniform(0.5, 1.5, 6), rng.uniform(-0.5, 0.5, 6)
+        out = self.blend(x, u, mg, sg, gamma, beta)
         p = rng.permutation(6)
-        mu_p, sigma_p = mix_statistics(mi[p], si[p], mg[p], sg[p], u[p])
-        assert np.array_equal(mu_p, mu[p]) and np.array_equal(sigma_p, sigma[p])
+        out_p = self.blend(np.ascontiguousarray(x[:, p]), u[p], mg[p], sg[p], gamma[p], beta[p])
+        assert np.array_equal(out_p, out[:, p])
 
 
 class TestDiversifiedForward:

@@ -295,13 +295,13 @@ class TestEvaluate:
                     assert alphas[i].tobytes() == alphas0[i].tobytes()
 
 
-def build_federation(seed=0, n_clients=3, parallel=False, rounds=2, iterations=4):
+def build_federation(seed=0, n_clients=3, rounds=2, iterations=4):
     clients = [tiny_client(i, seed=seed) for i in range(n_clients)]
     template = SmallConvNet(seed=seed, **MODEL)
     template_adapters = make_adapters(template, 8, seed=seed)
     server = ServerState(extract_bundle(template, template_adapters), n_layers=1, seed=seed)
     plan = RoundPlan(rounds=rounds, iterations=iterations, val_every=2)
-    cfg = default_cfg(parallel_clients=parallel)
+    cfg = default_cfg()
     return clients, server, plan, cfg, template, template_adapters
 
 
@@ -313,17 +313,6 @@ class TestRunFederation:
             _, _, ledger = run_federation(clients, server, plan, cfg, net, ad)
             ledgers.append(ledger)
         assert ledgers[0] == ledgers[1]
-
-    def test_parallel_equals_sequential(self):
-        ledgers, bundles = [], []
-        for parallel in (False, True):
-            clients, server, plan, cfg, net, ad = build_federation(seed=2, parallel=parallel)
-            bundle, _, ledger = run_federation(clients, server, plan, cfg, net, ad)
-            ledgers.append(ledger)
-            bundles.append(bundle)
-        assert ledgers[0] == ledgers[1]
-        for k in bundles[0]:
-            assert np.array_equal(bundles[0][k], bundles[1][k]), k
 
     def test_identical_datasets_symmetry(self):
         clients = [tiny_client(0, seed=3) for _ in range(2)]

@@ -175,6 +175,87 @@ class TestBNEvalGlobal:
         assert np.array_equal(bn.global_var, state[3])
 
 
+def to_batch_innermost(a):
+    """The same values as ``a``, laid out as (C, H, W, N) memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+class TestGlobalOnlyBlend:
+    """EVAL_GLOBAL is blend_normalize at a constant zero weight."""
+
+    def make_bn(self, seed, c=3):
+        rng = np.random.default_rng(seed)
+        bn = DualBNLayer(c)
+        bn.gamma.data = rng.uniform(0.5, 1.5, c)
+        bn.beta.data = rng.uniform(-1, 1, c)
+        bn.set_global_stats(rng.uniform(-1, 1, c), rng.uniform(0.2, 2, c))
+        return bn, rng
+
+    @pytest.mark.parametrize("layout", ["c_order", "batch_innermost"])
+    def test_bitwise_equal_to_global_formula(self, layout):
+        bn, rng = self.make_bn(20)
+        x = rng.uniform(-2, 2, (4, 3, 5, 5))
+        g = rng.uniform(-1, 1, x.shape)
+        if layout == "batch_innermost":
+            x, g = to_batch_innermost(x), to_batch_innermost(g)
+        xt = Tensor(x, requires_grad=True)
+        out = bn.forward_eval_global(xt)
+        gx, _, ggamma, gbeta = out._vjp(g)
+
+        mu = bn.global_mean.reshape(1, 3, 1, 1)
+        sigma = np.sqrt(bn.global_var + bn.eps).reshape(1, 3, 1, 1)
+        gd = bn.gamma.data.reshape(1, 3, 1, 1)
+        xn = (x - mu) / sigma
+        assert out.data.tobytes() == (xn * gd + bn.beta.data.reshape(1, 3, 1, 1)).tobytes()
+        assert gx.tobytes() == (g * (gd / sigma)).tobytes()
+        assert ggamma.tobytes() == (g * xn).sum(axis=(0, 2, 3)).tobytes()
+        assert gbeta.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+    def count_moments(self, monkeypatch):
+        calls = []
+        moments = T._instance_moments
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return moments(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_instance_moments", counting)
+        return calls
+
+    def test_weightless_blends_skip_instance_moments(self, monkeypatch):
+        net = SmallConvNet(in_channels=3, widths=(4, 8), num_classes=5, seed=0)
+        bn, rng = self.make_bn(21)
+        for layer in net.bn_layers():
+            layer.set_global_stats(rng.uniform(-1, 1, layer.channels),
+                                   rng.uniform(0.5, 2, layer.channels))
+        x = Tensor(rng.uniform(-2, 2, (4, 3, 5, 5)), requires_grad=True)
+        calls = self.count_moments(monkeypatch)
+        net.forward(Tensor(rng.uniform(0, 1, (2, 3, 16, 16))), BNMode.EVAL_GLOBAL)
+        bn.forward_mixed(x, np.zeros(3))
+        bn.forward_interpolated(x, Tensor(np.zeros((4, 1))))
+        assert not calls
+
+    def test_weighted_or_trainable_blends_use_instance_moments(self, monkeypatch):
+        bn, rng = self.make_bn(22)
+        x = Tensor(rng.uniform(-2, 2, (4, 3, 5, 5)))
+        calls = self.count_moments(monkeypatch)
+        bn.forward_mixed(x, np.array([0.0, 0.3, 0.0]))
+        assert len(calls) == 1
+        bn.forward_interpolated(x, Tensor(np.zeros((4, 1)), requires_grad=True))
+        assert len(calls) == 2
+
+    def test_one_pixel_map(self):
+        bn, rng = self.make_bn(23)
+        x = rng.uniform(-2, 2, (2, 3, 1, 1))
+        out = bn.forward_eval_global(Tensor(x)).data
+        want = (x - bn.global_mean.reshape(1, 3, 1, 1)) \
+            / np.sqrt(bn.global_var + bn.eps).reshape(1, 3, 1, 1) \
+            * bn.gamma.data.reshape(1, 3, 1, 1) + bn.beta.data.reshape(1, 3, 1, 1)
+        assert np.array_equal(out, want)
+        with pytest.raises(InputError):
+            bn.forward_mixed(Tensor(x), np.full(3, 0.5))
+
+
 class TestInstanceStats:
     def test_constant_map(self):
         x = np.full((2, 3, 4, 4), 0.6)

@@ -62,8 +62,8 @@ def mode_context(mode, net, rng):
 def test_forward_activations_batch_innermost(monkeypatch, mode):
     net, batch, _, rng = make_setup()
     ctx = mode_context(mode, net, rng)
-    seen = record_outputs(monkeypatch, ["conv2d", "batch_norm_train", "normalize_affine",
-                                        "blend_normalize", "relu"])
+    seen = record_outputs(monkeypatch, ["conv2d", "batch_norm_train", "blend_normalize",
+                                        "relu"])
     net.forward(batch, mode, ctx)
     assert len(seen) == 3 * len(net.blocks)
     bad = [(name, a.strides) for name, a in seen if not batch_innermost(a)]
