@@ -18,9 +18,6 @@ from .errors import ConfigError
 from .layers import BNMode, Linear, SmallConvNet, instance_stats
 from .tensor import Tensor
 
-DEFAULT_HIDDEN_DIM = 32
-
-
 @dataclass
 class AlphaSample:
     """One draw of interpolation weights for a batch at one layer."""
@@ -34,7 +31,7 @@ class AlphaSample:
 class InstanceAdapter:
     """Per-BN-layer adapter: 2C -> hidden -> 2 fully connected network."""
 
-    def __init__(self, channels: int, hidden_dim: int = DEFAULT_HIDDEN_DIM, seed: int = 0):
+    def __init__(self, channels: int, hidden_dim: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.channels = channels
         self.hidden_dim = hidden_dim
@@ -69,8 +66,7 @@ class InstanceAdapter:
         return out[:, 0:1], out[:, 1:2]
 
 
-def make_adapters(net: SmallConvNet, hidden_dim: int = DEFAULT_HIDDEN_DIM,
-                  seed: int = 0) -> list[InstanceAdapter]:
+def make_adapters(net: SmallConvNet, hidden_dim: int, seed: int = 0) -> list[InstanceAdapter]:
     """One adapter per BN layer, in the network's stable BN order."""
     return [
         InstanceAdapter(bn.channels, hidden_dim, seed=seed + i)

@@ -7,8 +7,9 @@ import hashlib
 import json
 
 from .diversify import LossWeights, SamplingDistribution
+from .domains import PartitionSpec
 from .errors import ConfigError
-from .federation import STAT_AGGREGATIONS, STRATEGIES
+from .federation import RoundPlan, TrainConfig
 
 DEFAULTS = {
     "benchmark": {
@@ -64,57 +65,23 @@ DEFAULTS = {
     "output_dir": "runs",
 }
 
-_TYPES = {
-    ("benchmark", "domains"): int,
-    ("benchmark", "classes"): int,
-    ("benchmark", "image_size"): int,
-    ("benchmark", "samples_per_client"): int,
-    ("benchmark", "test_samples"): int,
-    ("benchmark", "held_out_domain"): int,
-    ("benchmark", "clients_per_domain"): int,
-    ("benchmark", "partition"): str,
-    ("benchmark", "dirichlet_alpha"): float,
-    ("benchmark", "val_fraction"): float,
-    ("model", "widths"): list,
-    ("model", "in_channels"): int,
-    ("federation", "strategy"): str,
-    ("federation", "rounds"): int,
-    ("federation", "iterations"): int,
-    ("federation", "val_every"): int,
-    ("federation", "lr"): float,
-    ("federation", "momentum"): float,
-    ("federation", "batch_size"): int,
-    ("federation", "prox_mu"): float,
-    ("federation", "participants_per_round"): (int, type(None)),
-    ("federation", "parallel_clients"): bool,
-    ("federation", "stat_aggregation"): str,
-    ("loss", "lambda1"): float,
-    ("loss", "lambda2"): float,
-    ("diversify", "enabled"): bool,
-    ("diversify", "distribution"): str,
-    ("diversify", "low"): float,
-    ("diversify", "high"): float,
-    ("diversify", "value"): float,
-    ("diversify", "stop_gradient_features"): bool,
-    ("adapter", "enabled"): bool,
-    ("adapter", "hidden_dim"): int,
-    ("adapter", "fixed_value"): float,
-    ("adapter", "warmup_rounds"): int,
-    ("adapter", "lr"): float,
-}
-
 
 def _check_value(section: str, key: str, value):
-    expected = _TYPES[(section, key)]
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
+    """Check ``value`` against the type of the key's default in ``DEFAULTS``.
+
+    An int is widened for a float key, a bool is no int, and the one ``None``
+    default (``federation.participants_per_round``) means "int or null".
+    """
+    default = DEFAULTS[section][key]
+    expected = int if default is None else type(default)
+    if value is None and default is None:
+        return value
+    if expected is float and type(value) is int:
         return float(value)
-    if expected is int and isinstance(value, bool):
-        raise ConfigError(f"{section}.{key}: expected int, got bool")
-    if not isinstance(value, expected):
-        raise ConfigError(
-            f"{section}.{key}: expected {getattr(expected, '__name__', expected)}, "
-            f"got {type(value).__name__} ({value!r})"
-        )
+    if type(value) is not expected:
+        name = "int or null" if default is None else expected.__name__
+        raise ConfigError(f"{section}.{key}: expected {name}, "
+                          f"got {type(value).__name__} ({value!r})")
     return value
 
 
@@ -143,7 +110,8 @@ def _merge(base: dict, incoming: dict) -> dict:
 
 
 def _semantic_checks(cfg: dict):
-    b, f, d, a = cfg["benchmark"], cfg["federation"], cfg["diversify"], cfg["adapter"]
+    """Bounds on keys that no object of ``run_spec`` holds."""
+    b = cfg["benchmark"]
     if b["domains"] < 2:
         raise ConfigError("benchmark.domains: need at least 2 domains")
     if not 0 <= b["held_out_domain"] < b["domains"]:
@@ -151,24 +119,42 @@ def _semantic_checks(cfg: dict):
             f"benchmark.held_out_domain must be in [0, {b['domains']}), "
             f"got {b['held_out_domain']}"
         )
-    if b["partition"] not in ("iid", "dirichlet"):
-        raise ConfigError(f"benchmark.partition: unknown mode {b['partition']!r}")
-    if f["strategy"] not in STRATEGIES:
-        raise ConfigError(f"federation.strategy: unknown strategy {f['strategy']!r}")
-    if f["stat_aggregation"] not in STAT_AGGREGATIONS:
+    # Each client needs one training and one validation sample.
+    if b["samples_per_client"] < 2:
         raise ConfigError(
-            f"federation.stat_aggregation: unknown method {f['stat_aggregation']!r}")
-    if f["parallel_clients"]:
+            f"benchmark.samples_per_client must be >= 2, got {b['samples_per_client']}")
+    if not 0 <= b["val_fraction"] < 1:
+        raise ConfigError(f"benchmark.val_fraction must be in [0, 1), got {b['val_fraction']}")
+    if cfg["federation"]["parallel_clients"]:
         raise ConfigError("federation.parallel_clients: clients run one after another; "
                           "only false is accepted")
-    SamplingDistribution(d["distribution"], d["low"], d["high"], d["value"])
-    LossWeights(cfg["loss"]["lambda1"], cfg["loss"]["lambda2"])
-    if a["lr"] <= 0:
-        raise ConfigError(f"adapter.lr must be positive, got {a['lr']}")
+    if cfg["adapter"]["hidden_dim"] < 1:
+        raise ConfigError(
+            f"adapter.hidden_dim must be >= 1, got {cfg['adapter']['hidden_dim']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
     if not all(isinstance(w, int) and w > 0 for w in cfg["model"]["widths"]):
         raise ConfigError("model.widths: expected positive integers")
+
+
+def run_spec(cfg: dict) -> tuple[PartitionSpec, RoundPlan, TrainConfig]:
+    """The run's typed objects, built from a config; each checks its own bounds."""
+    b, f, d, a = cfg["benchmark"], cfg["federation"], cfg["diversify"], cfg["adapter"]
+    partition = PartitionSpec(b["partition"], b["dirichlet_alpha"], b["clients_per_domain"])
+    plan = RoundPlan(f["rounds"], f["iterations"], f["val_every"],
+                     f["participants_per_round"])
+    train = TrainConfig(
+        strategy=f["strategy"], lr=f["lr"], momentum=f["momentum"],
+        batch_size=f["batch_size"], diversify=d["enabled"],
+        distribution=SamplingDistribution(d["distribution"], d["low"], d["high"],
+                                          d["value"]),
+        loss_weights=LossWeights(cfg["loss"]["lambda1"], cfg["loss"]["lambda2"]),
+        adapter=a["enabled"], adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
+        prox_mu=f["prox_mu"],
+        stop_gradient_features=d["stop_gradient_features"],
+        stat_aggregation=f["stat_aggregation"],
+    )
+    return partition, plan, train
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -193,7 +179,10 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> dict:
-    """Resolve defaults + file + overrides into a validated config dict."""
+    """Resolve defaults + file + overrides into a validated config dict.
+
+    Every bound is checked here, before any data is generated.
+    """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -209,6 +198,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     _semantic_checks(cfg)
+    run_spec(cfg)
     return cfg
 
 

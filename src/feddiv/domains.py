@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 
 @dataclass
@@ -48,17 +48,19 @@ class DomainSpec:
 
 @dataclass
 class PartitionSpec:
-    mode: str = "iid"  # "iid" | "dirichlet"
-    alpha: float = 0.5
-    n_clients: int = 1
+    """How each domain's samples split across its clients."""
+
+    mode: str  # "iid" | "dirichlet"
+    alpha: float  # Dirichlet concentration; unused by "iid"
+    n_clients: int
 
     def __post_init__(self):
         if self.mode not in ("iid", "dirichlet"):
-            raise InputError(f"unknown partition mode {self.mode!r}")
-        if self.mode == "dirichlet" and self.alpha <= 0:
-            raise InputError("dirichlet alpha must be > 0")
+            raise ConfigError(f"unknown partition mode {self.mode!r}")
+        if self.mode == "dirichlet" and not self.alpha > 0:
+            raise ConfigError(f"dirichlet alpha must be > 0, got {self.alpha}")
         if self.n_clients < 1:
-            raise InputError("need at least one client")
+            raise ConfigError(f"need at least one client per domain, got {self.n_clients}")
 
 
 def _draw_shape(canvas: np.ndarray, label: int, cx: int, cy: int, r: int, value: float):
@@ -179,16 +181,20 @@ class Benchmark:
 
 
 def build_benchmark(domain_specs: list[DomainSpec], held_out: int, samples_per_client: int,
-                    classes: int, size: int, seed: int, val_fraction: float = 0.2,
-                    clients_per_domain: int = 1,
-                    partition_spec: PartitionSpec | None = None,
-                    test_samples: int = 500) -> Benchmark:
-    """Generate the full leave-one-domain-out benchmark deterministically."""
+                    classes: int, size: int, seed: int, val_fraction: float,
+                    test_samples: int, partition_spec: PartitionSpec | None = None
+                    ) -> Benchmark:
+    """Generate the full leave-one-domain-out benchmark deterministically.
+
+    ``partition_spec`` splits each domain across its clients; without one,
+    each domain is a single client.
+    """
     if len(domain_specs) < 2:
         raise InputError("need at least 2 domains for leave-one-domain-out")
     if not any(s.domain_id == held_out for s in domain_specs):
         raise InputError(f"held-out domain {held_out} not among specs")
 
+    clients_per_domain = partition_spec.n_clients if partition_spec else 1
     train_clients = []
     for spec in domain_specs:
         if spec.domain_id == held_out:
@@ -199,9 +205,7 @@ def build_benchmark(domain_specs: list[DomainSpec], held_out: int, samples_per_c
         if clients_per_domain == 1:
             parts = [shifted]
         else:
-            pspec = partition_spec or PartitionSpec("iid", n_clients=clients_per_domain)
-            pspec = PartitionSpec(pspec.mode, pspec.alpha, clients_per_domain)
-            parts = partition(shifted, pspec, seed=seed * 1000 + spec.domain_id)
+            parts = partition(shifted, partition_spec, seed=seed * 1000 + spec.domain_id)
         for part in parts:
             n_part_val = max(1, int(round(len(part) * val_fraction)))
             rng = np.random.default_rng(

@@ -9,7 +9,7 @@ participant validation accuracy is highest.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import adapter as adapter_mod
 from . import tensor as T
 from .adapter import InstanceAdapter, adapter_parameters
 from .diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
-from .errors import FeddivError, InputError, ProtocolError
+from .errors import ConfigError, FeddivError, InputError, ProtocolError
 from .layers import BNMode, SmallConvNet
 from .tensor import Tensor
 
@@ -186,32 +186,49 @@ class SGD:
 
 @dataclass
 class RoundPlan:
-    rounds: int = 40
-    iterations: int = 200
-    val_every: int = 20
-    participants_per_round: int | None = None  # None = all clients
+    rounds: int
+    iterations: int
+    val_every: int
+    participants_per_round: int | None  # None = all clients
 
     def __post_init__(self):
-        if self.rounds < 0 or self.iterations < 0 or self.val_every < 1:
-            raise InputError("round plan counts must be positive")
+        if self.rounds < 0 or self.iterations < 0:
+            raise ConfigError(f"rounds and iterations must be >= 0, "
+                              f"got {self.rounds} and {self.iterations}")
+        if self.val_every < 1:
+            raise ConfigError(f"val_every must be >= 1, got {self.val_every}")
+        if self.participants_per_round is not None and self.participants_per_round < 1:
+            raise ConfigError(f"participants_per_round must be >= 1 or null, "
+                              f"got {self.participants_per_round}")
 
 
 @dataclass
 class TrainConfig:
-    strategy: str = "fedavg"
-    lr: float = 0.01
-    momentum: float = 0.5
-    batch_size: int = 64
-    diversify: bool = False
-    distribution: SamplingDistribution = field(
-        default_factory=lambda: SamplingDistribution("uniform", 0.0, 1.0))
-    loss_weights: LossWeights = field(default_factory=lambda: LossWeights(0.1, 4.0))
-    adapter: bool = False
-    adapter_warmup_rounds: int = 0
-    adapter_lr: float = 0.005
-    prox_mu: float = 0.1
-    stop_gradient_features: bool = False
-    stat_aggregation: str = "total_variance"
+    strategy: str
+    lr: float
+    momentum: float
+    batch_size: int
+    diversify: bool
+    distribution: SamplingDistribution
+    loss_weights: LossWeights
+    adapter: bool
+    adapter_warmup_rounds: int
+    adapter_lr: float
+    prox_mu: float
+    stop_gradient_features: bool
+    stat_aggregation: str
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if self.stat_aggregation not in STAT_AGGREGATIONS:
+            raise ConfigError(f"unknown stat_aggregation method {self.stat_aggregation!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not self.adapter_lr > 0:
+            raise ConfigError(f"adapter_lr must be positive, got {self.adapter_lr}")
 
 
 class ClientState:
@@ -230,6 +247,8 @@ class ClientState:
         self.adapter_rng = np.random.default_rng(
             np.random.SeedSequence([seed, client_id, 7331]))
         self.n_samples = len(train_data.labels)
+        if self.n_samples == 0:
+            raise InputError(f"client {client_id}: no training samples")
         self._order = np.arange(self.n_samples)
         self._cursor = self.n_samples  # force initial shuffle
 

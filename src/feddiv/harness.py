@@ -12,12 +12,11 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .adapter import make_adapters
-from .config import benchmark_hash, config_hash
-from .diversify import LossWeights, SamplingDistribution
-from .domains import (DEFAULT_DOMAIN_SPECS, DomainSpec, PartitionSpec, build_benchmark)
+from .config import benchmark_hash, config_hash, run_spec
+from .domains import DEFAULT_DOMAIN_SPECS, DomainSpec, build_benchmark
 from .errors import ConfigError
-from .federation import (ClientState, RoundPlan, ServerState, TrainConfig, evaluate_net,
-                         extract_bundle, load_bundle, run_federation)
+from .federation import (ClientState, ServerState, evaluate_net, extract_bundle, load_bundle,
+                         run_federation)
 from .layers import SmallConvNet
 
 log = logging.getLogger(__name__)
@@ -40,36 +39,17 @@ def default_domain_specs(n_domains: int) -> list[DomainSpec]:
     return specs
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    f, d, a, l = cfg["federation"], cfg["diversify"], cfg["adapter"], cfg["loss"]
-    dist = SamplingDistribution(d["distribution"], d["low"], d["high"], d["value"])
-    return TrainConfig(
-        strategy=f["strategy"], lr=f["lr"], momentum=f["momentum"],
-        batch_size=f["batch_size"], diversify=d["enabled"], distribution=dist,
-        loss_weights=LossWeights(l["lambda1"], l["lambda2"]),
-        adapter=a["enabled"], adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
-        prox_mu=f["prox_mu"],
-        stop_gradient_features=d["stop_gradient_features"],
-        stat_aggregation=f["stat_aggregation"],
-    )
-
-
 def run_seed(cfg: dict, seed: int) -> dict:
     """One full federated run for a single seed; returns metrics and artifacts."""
     b, m = cfg["benchmark"], cfg["model"]
-    specs = default_domain_specs(b["domains"])
-    partition_spec = PartitionSpec(b["partition"], b["dirichlet_alpha"],
-                                   b["clients_per_domain"])
-    bench = build_benchmark(specs, b["held_out_domain"], b["samples_per_client"],
-                            b["classes"], b["image_size"], seed=seed,
-                            val_fraction=b["val_fraction"],
-                            clients_per_domain=b["clients_per_domain"],
-                            partition_spec=partition_spec,
-                            test_samples=b["test_samples"])
+    partition_spec, plan, tcfg = run_spec(cfg)
+    bench = build_benchmark(default_domain_specs(b["domains"]), b["held_out_domain"],
+                            b["samples_per_client"], b["classes"], b["image_size"], seed=seed,
+                            val_fraction=b["val_fraction"], test_samples=b["test_samples"],
+                            partition_spec=partition_spec)
 
     model_cfg = {"in_channels": m["in_channels"], "widths": tuple(m["widths"]),
                  "num_classes": b["classes"]}
-    tcfg = _train_config(cfg)
     hidden = cfg["adapter"]["hidden_dim"]
 
     template = SmallConvNet(seed=seed, **model_cfg)
@@ -83,9 +63,6 @@ def run_seed(cfg: dict, seed: int) -> dict:
         adapters = make_adapters(net, hidden, seed=seed)
         clients.append(ClientState(i, entry["train"], entry["val"], net, adapters, seed))
 
-    plan = RoundPlan(cfg["federation"]["rounds"], cfg["federation"]["iterations"],
-                     cfg["federation"]["val_every"],
-                     cfg["federation"]["participants_per_round"])
     best_bundle, best_stats, ledger = run_federation(clients, server, plan, tcfg,
                                                      template, template_adapters)
 

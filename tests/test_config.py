@@ -3,10 +3,17 @@ import pathlib
 
 import pytest
 
-from feddiv.config import (apply_overrides, benchmark_hash, config_hash, load_config)
+from feddiv.cli import main as cli_main
+from feddiv.config import DEFAULTS, apply_overrides, benchmark_hash, config_hash, load_config
 from feddiv.errors import ConfigError
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
+SECTION_KEYS = [(section, key) for section, content in DEFAULTS.items()
+                if isinstance(content, dict) for key in content]
+
+
+def keys_where(pred):
+    return [(section, key) for section, key in SECTION_KEYS if pred(DEFAULTS[section][key])]
 
 
 class TestLoadConfig:
@@ -80,6 +87,67 @@ class TestLoadConfig:
     def test_choices_and_bounds_rejected(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             load_config(overrides=overrides)
+
+    # Past load_config, each of these would fail late, crash with a traceback,
+    # hang, or train with the wrong sign.
+    @pytest.mark.parametrize("overrides,match", [
+        (["federation.val_every=0"], "val_every"),
+        (["federation.iterations=-1"], "iterations"),
+        (["federation.participants_per_round=0"], "participants_per_round"),
+        (["federation.batch_size=0"], "batch_size"),
+        (["adapter.hidden_dim=0"], "hidden_dim"),
+        (["federation.lr=-1"], "lr"),
+        (["adapter.lr=0"], "adapter_lr"),
+        (["benchmark.samples_per_client=0"], "samples_per_client"),
+        (["benchmark.val_fraction=1.5"], "val_fraction"),
+        (["benchmark.clients_per_domain=0"], "client"),
+        (['benchmark.partition="dirichlet"', "benchmark.dirichlet_alpha=0"], "alpha"),
+        (['benchmark.partition="skewed"'], "partition mode"),
+    ])
+    def test_out_of_range_rejected_at_load(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(overrides=overrides)
+
+    def test_out_of_range_exits_two_from_cli(self, tmp_path, capsys):
+        args = ["run", "--out", str(tmp_path), "--set", "benchmark.samples_per_client=0"]
+        assert cli_main(args) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+class TestTypeRule:
+    """A key's type is the type of its default in DEFAULTS."""
+
+    @pytest.mark.parametrize("section,key", SECTION_KEYS)
+    def test_default_accepted_unchanged(self, section, key):
+        cfg = load_config(overrides=[f"{section}.{key}={json.dumps(DEFAULTS[section][key])}"])
+        assert cfg[section][key] == DEFAULTS[section][key]
+        assert type(cfg[section][key]) is type(DEFAULTS[section][key])
+
+    @pytest.mark.parametrize("section,key", keys_where(lambda d: not isinstance(d, str)))
+    def test_string_rejected_for_non_string_key(self, section, key):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(overrides=[f'{section}.{key}="text"'])
+
+    @pytest.mark.parametrize("section,key", keys_where(lambda d: d is None or type(d) is int))
+    def test_bool_rejected_for_int_key(self, section, key):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected int"):
+            load_config(overrides=[f"{section}.{key}=true"])
+
+    @pytest.mark.parametrize("section,key", keys_where(lambda d: type(d) is float))
+    def test_int_widened_for_float_key(self, section, key):
+        # apply_overrides checks types only, so 1 is fine for every float key
+        cfg = apply_overrides(load_config(), [f"{section}.{key}=1"])
+        assert type(cfg[section][key]) is float and cfg[section][key] == 1.0
+
+    @pytest.mark.parametrize("section,key", SECTION_KEYS)
+    def test_null_only_for_participants_per_round(self, section, key):
+        override = [f"{section}.{key}=null"]
+        if (section, key) == ("federation", "participants_per_round"):
+            assert load_config(overrides=override)[section][key] is None
+        else:
+            with pytest.raises(ConfigError, match=f"{section}.{key}"):
+                load_config(overrides=override)
 
 
 class TestBenchWorkloads:

@@ -79,7 +79,7 @@ class TestApplyDomain:
 class TestPartition:
     def test_iid_balanced(self):
         ds = generate_base(100, 5, seed=7)
-        parts = partition(ds, PartitionSpec("iid", n_clients=2), seed=0)
+        parts = partition(ds, PartitionSpec("iid", alpha=0.5, n_clients=2), seed=0)
         assert sorted(len(p) for p in parts) == [50, 50]
         for p in parts:
             hist = np.bincount(p.labels, minlength=5)
@@ -120,14 +120,14 @@ class TestPartition:
     def test_infeasible_spec(self):
         ds = generate_base(3, 3, seed=12)
         with pytest.raises(InputError):
-            partition(ds, PartitionSpec("iid", n_clients=10), seed=0)
+            partition(ds, PartitionSpec("iid", alpha=0.5, n_clients=10), seed=0)
 
 
 class TestBuildBenchmark:
     def test_leave_one_out_exclusivity(self):
         specs = default_domain_specs(4)
         bench = build_benchmark(specs, held_out=3, samples_per_client=50, classes=5,
-                                size=16, seed=0)
+                                size=16, seed=0, val_fraction=0.2, test_samples=500)
         assert len(bench.train_clients) == 3
         assert {c["domain_id"] for c in bench.train_clients} == {0, 1, 2}
         assert bench.held_out_domain == 3
@@ -135,7 +135,7 @@ class TestBuildBenchmark:
     def test_train_val_disjoint(self):
         specs = default_domain_specs(4)
         bench = build_benchmark(specs, held_out=0, samples_per_client=50, classes=5,
-                                size=16, seed=1)
+                                size=16, seed=1, val_fraction=0.2, test_samples=500)
         for c in bench.train_clients:
             n_total = len(c["train"]) + len(c["val"])
             assert n_total == 50
@@ -146,8 +146,8 @@ class TestBuildBenchmark:
 
     def test_bitwise_stable_regeneration(self):
         specs = default_domain_specs(4)
-        a = build_benchmark(specs, 3, 40, 5, 16, seed=7)
-        b = build_benchmark(specs, 3, 40, 5, 16, seed=7)
+        a = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500)
+        b = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500)
         assert np.array_equal(a.test_set.images, b.test_set.images)
         for ca, cb in zip(a.train_clients, b.train_clients):
             assert np.array_equal(ca["train"].images, cb["train"].images)
@@ -155,7 +155,8 @@ class TestBuildBenchmark:
 
     def test_too_few_domains(self):
         with pytest.raises(InputError):
-            build_benchmark(default_domain_specs(4)[:1], 0, 40, 5, 16, seed=0)
+            build_benchmark(default_domain_specs(4)[:1], 0, 40, 5, 16, seed=0, val_fraction=0.2,
+                            test_samples=500)
 
 
 class TestDumpLoad:

@@ -139,14 +139,17 @@ class TestSynthesizeGlobalStats:
         assert abs(weights.sum() - 1.0) < 1e-12
 
 
-def default_plan(iterations=4, rounds=1):
-    return RoundPlan(rounds=rounds, iterations=iterations, val_every=2)
+def default_plan(iterations=4, rounds=1, participants_per_round=None):
+    return RoundPlan(rounds=rounds, iterations=iterations, val_every=2,
+                     participants_per_round=participants_per_round)
 
 
 def default_cfg(**kw):
     base = dict(strategy="fedavg", lr=0.01, momentum=0.5, batch_size=8, diversify=True,
                 distribution=SamplingDistribution("uniform", 0, 1),
-                loss_weights=LossWeights(0.1, 4.0), adapter=True, prox_mu=0.1)
+                loss_weights=LossWeights(0.1, 4.0), adapter=True, adapter_warmup_rounds=0,
+                adapter_lr=0.005, prox_mu=0.1, stop_gradient_features=False,
+                stat_aggregation="total_variance")
     base.update(kw)
     return TrainConfig(**base)
 
@@ -300,7 +303,7 @@ def build_federation(seed=0, n_clients=3, rounds=2, iterations=4):
     template = SmallConvNet(seed=seed, **MODEL)
     template_adapters = make_adapters(template, 8, seed=seed)
     server = ServerState(extract_bundle(template, template_adapters), n_layers=1, seed=seed)
-    plan = RoundPlan(rounds=rounds, iterations=iterations, val_every=2)
+    plan = default_plan(iterations, rounds)
     cfg = default_cfg()
     return clients, server, plan, cfg, template, template_adapters
 
@@ -321,8 +324,8 @@ class TestRunFederation:
         template = SmallConvNet(seed=3, **MODEL)
         ad = make_adapters(template, 8, seed=3)
         server = ServerState(extract_bundle(template, ad), 1, seed=3)
-        plan = RoundPlan(rounds=1, iterations=4, val_every=2)
-        _, _, ledger = run_federation(clients, server, plan, default_cfg(), template, ad)
+        _, _, ledger = run_federation(clients, server, default_plan(), default_cfg(), template,
+                                      ad)
         accs = [r["accuracy"] for r in ledger if r["split"] == "server_val"]
         assert accs[0] == accs[1]
 
@@ -341,7 +344,7 @@ class TestRunFederation:
 
     def test_client_sampling_subset(self):
         clients, server, plan, cfg, net, ad = build_federation(seed=5, rounds=2)
-        plan = RoundPlan(rounds=2, iterations=2, val_every=2, participants_per_round=2)
+        plan = default_plan(iterations=2, rounds=2, participants_per_round=2)
         _, _, ledger = run_federation(clients, server, plan, cfg, net, ad)
         per_round = {}
         for r in ledger:
@@ -367,3 +370,10 @@ class TestBatching:
             seen.extend(y.tolist())
         # one full epoch: label multiset matches the dataset
         assert sorted(seen) == sorted(c.train_data.labels.tolist())
+
+    def test_client_without_training_samples_rejected(self):
+        # Batching would loop forever on an empty training set.
+        net = SmallConvNet(seed=0, **MODEL)
+        empty = tiny_dataset(4).subset(np.array([], dtype=np.int64))
+        with pytest.raises(InputError, match="client 5"):
+            ClientState(5, empty, tiny_dataset(4), net, None, seed=0)
