@@ -131,10 +131,16 @@ def _semantic_checks(cfg: dict):
     if cfg["adapter"]["hidden_dim"] < 1:
         raise ConfigError(
             f"adapter.hidden_dim must be >= 1, got {cfg['adapter']['hidden_dim']}")
+    if b["test_samples"] < 1:
+        raise ConfigError(f"benchmark.test_samples must be >= 1, got {b['test_samples']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
-    if not all(isinstance(w, int) and w > 0 for w in cfg["model"]["widths"]):
-        raise ConfigError("model.widths: expected positive integers")
+    m = cfg["model"]
+    if not m["widths"] or not all(isinstance(w, int) and w > 0 for w in m["widths"]):
+        raise ConfigError("model.widths: expected one or more positive integers")
+    # The domain generator makes RGB images only.
+    if m["in_channels"] != 3:
+        raise ConfigError(f"model.in_channels must be 3, got {m['in_channels']}")
 
 
 def run_spec(cfg: dict) -> tuple[PartitionSpec, RoundPlan, TrainConfig]:

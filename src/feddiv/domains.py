@@ -28,7 +28,7 @@ class Dataset:
         return Dataset(self.images[idx], self.labels[idx])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainSpec:
     domain_id: int
     gain: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -223,21 +223,3 @@ def build_benchmark(domain_specs: list[DomainSpec], held_out: int, samples_per_c
     test_set = apply_domain(test_base, test_spec)
     return Benchmark(train_clients, test_set, held_out, list(domain_specs))
 
-
-# -- dataset dump/load --------------------------------------------------------
-
-DATASET_FORMAT_VERSION = 1
-
-
-def save_dataset(dataset: Dataset, path: str, seed: int | None = None):
-    """Versioned .npz dump; loadable bit-exactly with load_dataset."""
-    meta = np.array([DATASET_FORMAT_VERSION, -1 if seed is None else seed], dtype=np.int64)
-    np.savez_compressed(path, images=dataset.images, labels=dataset.labels, meta=meta)
-
-
-def load_dataset(path: str) -> Dataset:
-    with np.load(path) as z:
-        version = int(z["meta"][0])
-        if version != DATASET_FORMAT_VERSION:
-            raise InputError(f"unsupported dataset format version {version}")
-        return Dataset(z["images"], z["labels"])

@@ -63,13 +63,17 @@ def aggregated_keys(keys, strategy: str) -> list[str]:
     return out
 
 
-def extract_bundle(net: SmallConvNet, adapters: list[InstanceAdapter] | None) -> dict:
-    """Snapshot every array (parameters, BN stats, adapter weights) by name."""
-    bundle = {name: p.data.copy() for name, p in net.parameters().items()}
-    bundle.update({name: a.copy() for name, a in net.bn_stats().items()})
+def extract_bundle(net: SmallConvNet, adapters: list[InstanceAdapter] | None,
+                   keys=None) -> dict:
+    """Snapshot arrays (parameters, BN stats, adapter weights) by name.
+
+    ``keys`` restricts which; by default every array is copied.
+    """
+    arrays = {name: p.data for name, p in net.parameters().items()}
+    arrays.update(net.bn_stats())
     if adapters:
-        bundle.update({name: p.data.copy() for name, p in adapter_parameters(adapters).items()})
-    return bundle
+        arrays.update({name: p.data for name, p in adapter_parameters(adapters).items()})
+    return {k: arrays[k].copy() for k in (arrays if keys is None else keys)}
 
 
 def load_bundle(net: SmallConvNet, adapters: list[InstanceAdapter] | None, bundle: dict,
@@ -232,7 +236,15 @@ class TrainConfig:
 
 
 class ClientState:
-    """One simulated client: its data, model, and private RNG stream."""
+    """One simulated client: its data, its local arrays, and private RNG streams.
+
+    The clients of a run share one network and adapter set (``net``,
+    ``adapters``); ``local_update`` loads the server bundle into it with the
+    client's ``local`` arrays on top. ``local`` holds what the strategy keeps
+    on the client (see ``aggregated_keys``) as the client's last round left
+    it, and starts empty: every client starts from the server's initial
+    arrays.
+    """
 
     def __init__(self, client_id: int, train_data, val_data, net: SmallConvNet,
                  adapters: list[InstanceAdapter] | None, seed: int):
@@ -241,6 +253,7 @@ class ClientState:
         self.val_data = val_data
         self.net = net
         self.adapters = adapters
+        self.local: dict[str, np.ndarray] = {}
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, client_id]))
         # Separate stream for adapter training so that enabling the adapter
         # leaves the main net's batch order and mixing draws untouched.
@@ -296,9 +309,12 @@ def _prox_penalty(params: dict[str, Tensor], reference: dict[str, np.ndarray],
 
 def local_update(client: ClientState, server_bundle: dict, global_stats, plan: RoundPlan,
                  cfg: TrainConfig, round_idx: int = 0) -> tuple[dict, dict]:
-    """One round of local training; returns (best snapshot, metrics)."""
-    keys = aggregated_keys(server_bundle.keys(), cfg.strategy)
-    load_bundle(client.net, client.adapters, server_bundle, keys)
+    """One round of local training; returns (best snapshot, metrics).
+
+    Trains ``client.net``, which the clients of a run share, and leaves the
+    arrays the strategy keeps local in ``client.local``.
+    """
+    load_bundle(client.net, client.adapters, {**server_bundle, **client.local})
     if round_idx == 0:
         # No server-synthesized statistics exist before the first
         # aggregation; seed the global buffers from one local forward so
@@ -371,10 +387,11 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
                 best_val = acc
                 best_bundle = extract_bundle(client.net, client.adapters)
 
+    aggregated = set(aggregated_keys(server_bundle, cfg.strategy))
+    client.local = extract_bundle(client.net, client.adapters,
+                                  [k for k in server_bundle if k not in aggregated])
     iters = max(plan.iterations, 1)
-    metrics = {k: v / iters for k, v in loss_sums.items()}
-    metrics["best_val"] = best_val if np.isfinite(best_val) else 0.0
-    return best_bundle, metrics
+    return best_bundle, {k: v / iters for k, v in loss_sums.items()}
 
 
 # -- evaluation --------------------------------------------------------------

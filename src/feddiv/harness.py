@@ -27,9 +27,7 @@ INFERENCE_MODES = ("eval_global", "adaptive", "fixed_alpha", "random_alpha")
 
 def default_domain_specs(n_domains: int) -> list[DomainSpec]:
     """First four domains are hand-tuned; extras are generated procedurally."""
-    specs = [DomainSpec(s.domain_id, s.gain, s.bias, s.texture_freq, s.texture_amp, s.seed,
-                        s.gain_jitter, s.bias_jitter)
-             for s in DEFAULT_DOMAIN_SPECS[:n_domains]]
+    specs = list(DEFAULT_DOMAIN_SPECS[:n_domains])
     rng = np.random.default_rng(2024)
     for d in range(len(specs), n_domains):
         gain = tuple(rng.uniform(0.5, 1.6, size=3))
@@ -48,30 +46,24 @@ def run_seed(cfg: dict, seed: int) -> dict:
                             val_fraction=b["val_fraction"], test_samples=b["test_samples"],
                             partition_spec=partition_spec)
 
-    model_cfg = {"in_channels": m["in_channels"], "widths": tuple(m["widths"]),
-                 "num_classes": b["classes"]}
-    hidden = cfg["adapter"]["hidden_dim"]
+    # One network per run: the server's initial bundle, every client's
+    # training and every evaluation use it.
+    net = SmallConvNet(seed=seed, in_channels=m["in_channels"], widths=tuple(m["widths"]),
+                       num_classes=b["classes"])
+    adapters = make_adapters(net, cfg["adapter"]["hidden_dim"], seed=seed)
+    server = ServerState(extract_bundle(net, adapters), n_layers=len(m["widths"]), seed=seed)
+    clients = [ClientState(i, entry["train"], entry["val"], net, adapters, seed)
+               for i, entry in enumerate(bench.train_clients)]
 
-    template = SmallConvNet(seed=seed, **model_cfg)
-    template_adapters = make_adapters(template, hidden, seed=seed)
-    server = ServerState(extract_bundle(template, template_adapters),
-                         n_layers=len(m["widths"]), seed=seed)
+    best_bundle, best_stats, ledger = run_federation(clients, server, plan, tcfg, net,
+                                                     adapters)
 
-    clients = []
-    for i, entry in enumerate(bench.train_clients):
-        net = SmallConvNet(seed=seed, **model_cfg)
-        adapters = make_adapters(net, hidden, seed=seed)
-        clients.append(ClientState(i, entry["train"], entry["val"], net, adapters, seed))
-
-    best_bundle, best_stats, ledger = run_federation(clients, server, plan, tcfg,
-                                                     template, template_adapters)
-
-    load_bundle(template, template_adapters, best_bundle)
-    template.set_global_stats([(mu.copy(), var.copy()) for mu, var in best_stats])
+    load_bundle(net, adapters, best_bundle)
+    net.set_global_stats([(mu.copy(), var.copy()) for mu, var in best_stats])
     accuracies = {}
     for mode in INFERENCE_MODES:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
-        accuracies[mode] = evaluate_net(template, template_adapters, bench.test_set, mode,
+        accuracies[mode] = evaluate_net(net, adapters, bench.test_set, mode,
                                         fixed_value=cfg["adapter"]["fixed_value"], rng=rng)
     return {
         "seed": seed,

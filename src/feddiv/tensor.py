@@ -64,42 +64,8 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    # -- arithmetic sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     # -- autodiff --------------------------------------------------------
     def backward(self):
@@ -144,10 +110,6 @@ class Tensor:
                     continue
                 acc = grads.get(parent)
                 grads[parent] = pg if acc is None else acc + pg
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:

@@ -103,6 +103,10 @@ class TestLoadConfig:
         (["benchmark.clients_per_domain=0"], "client"),
         (['benchmark.partition="dirichlet"', "benchmark.dirichlet_alpha=0"], "alpha"),
         (['benchmark.partition="skewed"'], "partition mode"),
+        (["model.in_channels=1"], "in_channels"),
+        (["model.in_channels=0"], "in_channels"),
+        (["benchmark.test_samples=0"], "test_samples"),
+        (["model.widths=[]"], "widths"),
     ])
     def test_out_of_range_rejected_at_load(self, overrides, match):
         with pytest.raises(ConfigError, match=match):

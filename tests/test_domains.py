@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from feddiv.domains import (Dataset, DomainSpec, PartitionSpec, apply_domain,
-                            build_benchmark, generate_base, load_dataset, partition,
-                            save_dataset)
+                            build_benchmark, generate_base, partition)
 from feddiv.errors import InputError
 from feddiv.harness import default_domain_specs
 
@@ -158,12 +157,3 @@ class TestBuildBenchmark:
             build_benchmark(default_domain_specs(4)[:1], 0, 40, 5, 16, seed=0, val_fraction=0.2,
                             test_samples=500)
 
-
-class TestDumpLoad:
-    def test_roundtrip_bitwise(self, tmp_path):
-        ds = generate_base(20, 5, seed=13)
-        path = str(tmp_path / "ds.npz")
-        save_dataset(ds, path, seed=13)
-        back = load_dataset(path)
-        assert np.array_equal(back.images, ds.images)
-        assert np.array_equal(back.labels, ds.labels)

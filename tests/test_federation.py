@@ -209,6 +209,40 @@ class TestLocalUpdate:
         assert np.array_equal(client.net.blocks[0][1].gamma.data,
                               server_bundle["block0.bn.gamma"])
 
+    @pytest.mark.parametrize("strategy,local", [
+        ("fedavg", set()),
+        ("fedprox", set()),
+        ("silobn", {"block0.bn.local_mean", "block0.bn.local_var"}),
+        ("fedbn", {"block0.bn.local_mean", "block0.bn.local_var",
+                   "block0.bn.gamma", "block0.bn.beta"}),
+    ])
+    def test_keeps_the_arrays_the_strategy_leaves_local(self, strategy, local):
+        client = tiny_client(0, seed=7)
+        assert client.local == {}
+        local_update(client, random_bundle(11), initial_stats(), default_plan(4),
+                     default_cfg(strategy=strategy))
+        assert set(client.local) == local
+        # as the round left them, not as the best snapshot
+        arrays = extract_bundle(client.net, client.adapters)
+        for k in local:
+            assert client.local[k].tobytes() == arrays[k].tobytes(), k
+
+    @pytest.mark.parametrize("strategy", ["silobn", "fedbn"])
+    def test_next_round_starts_from_the_local_arrays(self, strategy):
+        # Another client trains the shared network in between; this client's
+        # next round still starts from its own local arrays.
+        a, b = tiny_client(0, seed=8), tiny_client(1, seed=8)
+        b.net, b.adapters = a.net, a.adapters
+        cfg = default_cfg(strategy=strategy)
+        server_bundle = random_bundle(12)
+        for c in (a, b):
+            local_update(c, server_bundle, initial_stats(), default_plan(4), cfg)
+        kept = dict(a.local)
+        start, _ = local_update(a, server_bundle, initial_stats(), default_plan(0), cfg, 1)
+        assert kept
+        for k in server_bundle:
+            assert start[k].tobytes() == kept.get(k, server_bundle[k]).tobytes(), k
+
     def test_fedbn_preserves_stats_and_affine(self):
         client = tiny_client(0, seed=6)
         client.net.blocks[0][1].gamma.data = np.full(4, 2.71)
@@ -341,6 +375,30 @@ class TestRunFederation:
         server = ServerState(extract_bundle(template, None), 1, seed=0)
         with pytest.raises(ProtocolError):
             run_federation([], server, default_plan(), default_cfg(), template, None)
+
+    @pytest.mark.parametrize("participants", [None, 2])
+    @pytest.mark.parametrize("strategy", federation.STRATEGIES)
+    def test_shared_net_equals_own_nets(self, strategy, participants):
+        # Between rounds a client keeps only what its strategy leaves local,
+        # so clients that share one network train as clients that own one.
+        runs = []
+        for shared in (False, True):
+            clients, server, _, _, net, ad = build_federation(seed=6, rounds=3)
+            if shared:
+                for c in clients:
+                    c.net, c.adapters = net, ad
+            plan = default_plan(iterations=4, rounds=3, participants_per_round=participants)
+            best, stats, ledger = run_federation(clients, server, plan,
+                                                 default_cfg(strategy=strategy), net, ad)
+            runs.append((best, stats, ledger, server.best_round))
+        (best0, stats0, ledger0, round0), (best1, stats1, ledger1, round1) = runs
+        assert ledger1 == ledger0
+        assert round1 == round0
+        assert list(best1) == list(best0)
+        for k in best0:
+            assert best1[k].tobytes() == best0[k].tobytes(), k
+        for (m0, v0), (m1, v1) in zip(stats0, stats1):
+            assert m1.tobytes() == m0.tobytes() and v1.tobytes() == v0.tobytes()
 
     def test_client_sampling_subset(self):
         clients, server, plan, cfg, net, ad = build_federation(seed=5, rounds=2)

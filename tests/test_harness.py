@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from feddiv import harness
 from feddiv.cli import main as cli_main
 from feddiv.config import load_config
 from feddiv.errors import ConfigError
@@ -57,6 +58,18 @@ class TestRunSeed:
         # untrained model: accuracy in the neighborhood of 1/classes
         assert abs(res["accuracies"]["eval_global"] - 1 / 3) < 0.25
         assert res["best_round"] == -1 or res["best_round"] == 0
+
+    def test_one_network_per_run(self, monkeypatch):
+        built = []
+
+        class CountingNet(harness.SmallConvNet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(harness, "SmallConvNet", CountingNet)
+        run_seed(tiny_cfg(["benchmark.clients_per_domain=2"]), 7)
+        assert len(built) == 1
 
     def test_all_inference_modes_reported(self):
         cfg = tiny_cfg()
