@@ -1,22 +1,25 @@
 """Flat key -> array checkpoint container: JSON with base64 float64 blocks.
 
-Round trips are bit-exact; a sha256 checksum over the payload catches
-corruption instead of silently loading garbage.
+Round trips are bit-exact; a sha256 checksum over every key, shape and
+data block catches corruption instead of silently loading garbage.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import contextlib
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
 
 from .errors import CheckpointError
 
-CHECKPOINT_VERSION = 1
+# 2: the checksum covers each array's shape as well as its key and data.
+CHECKPOINT_VERSION = 2
 
 
 def _encode(arr: np.ndarray) -> dict:
@@ -24,15 +27,32 @@ def _encode(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _decode(entry: dict) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(entry["shape"]).copy()
+def _decode(key: str, entry: dict) -> np.ndarray:
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (binascii.Error, ValueError) as e:
+        raise CheckpointError(f"array {key!r}: bad base64 data: {e}") from e
+    shape = entry["shape"]
+    if len(raw) != 8 * math.prod(shape):
+        raise CheckpointError(f"array {key!r}: shape {shape} needs {8 * math.prod(shape)} "
+                              f"bytes, data holds {len(raw)}")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+
+
+def _is_entry(entry) -> bool:
+    """An ``{"shape": [n, ...], "data": "<ASCII>"}`` object, n >= 0 ints."""
+    return (isinstance(entry, dict) and isinstance(entry.get("data"), str)
+            and entry["data"].isascii()
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"]))
 
 
 def _payload_digest(arrays: dict) -> str:
     h = hashlib.sha256()
     for key in sorted(arrays):
-        h.update(key.encode())
+        # each header is a self-delimiting JSON list and base64 never holds
+        # "[", so two different payloads never hash the same byte stream
+        h.update(json.dumps([key, arrays[key]["shape"]]).encode())
         h.update(arrays[key]["data"].encode("ascii"))
     return h.hexdigest()
 
@@ -70,18 +90,31 @@ def save_checkpoint(bundle: dict, path: str, extra: dict | None = None):
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict]:
-    """Read a checkpoint; returns (bundle, extra metadata)."""
+    """Read a checkpoint; returns (bundle, extra metadata).
+
+    Raises ``CheckpointError`` for anything but an intact checkpoint of
+    this version.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path} is not a checkpoint: a JSON {type(doc).__name__}, "
+                              f"not an object")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version!r} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    arrays = doc.get("arrays", {})
-    if _payload_digest(arrays) != doc.get("checksum"):
+    missing = [k for k in ("checksum", "arrays", "extra") if k not in doc]
+    if missing:
+        raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
+    arrays = doc["arrays"]
+    if not isinstance(arrays, dict) or not all(map(_is_entry, arrays.values())):
+        raise CheckpointError(f"checkpoint {path}: arrays must map keys to "
+                              f"{{shape, data}} objects")
+    if _payload_digest(arrays) != doc["checksum"]:
         raise CheckpointError(f"checksum mismatch in {path}: file is corrupt")
-    return {k: _decode(v) for k, v in arrays.items()}, doc.get("extra", {})
+    return {k: _decode(k, v) for k, v in arrays.items()}, doc["extra"]

@@ -343,8 +343,11 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
         adapter_opt = SGD(adapter_parameters(client.adapters),
                           lr=cfg.adapter_lr, momentum=0.0)
 
+    # The last iteration always validates and any accuracy beats -inf, so the
+    # first validation takes the first snapshot; only a zero-iteration round
+    # snapshots the arrays it loaded, after the loop.
     best_val = -np.inf
-    best_bundle = extract_bundle(client.net, client.adapters)
+    best_bundle = None
     loss_sums = {"ce": 0.0, "cacl": 0.0, "cafl": 0.0, "total": 0.0}
     adapter_training = cfg.adapter and round_idx >= cfg.adapter_warmup_rounds
 
@@ -387,6 +390,8 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
                 best_val = acc
                 best_bundle = extract_bundle(client.net, client.adapters)
 
+    if best_bundle is None:
+        best_bundle = extract_bundle(client.net, client.adapters)
     aggregated = set(aggregated_keys(server_bundle, cfg.strategy))
     client.local = extract_bundle(client.net, client.adapters,
                                   [k for k in server_bundle if k not in aggregated])

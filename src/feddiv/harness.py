@@ -93,7 +93,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
 
-    start = time.time()
+    start = time.perf_counter()
     per_seed = {}
     for seed in cfg["seeds"]:
         log.info("running seed %d", seed)
@@ -125,7 +125,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
         "seeds": cfg["seeds"],
         "per_seed": per_seed,
         "summary": summary,
-        "wallclock_sec": round(time.time() - start, 3),
+        "wallclock_sec": round(time.perf_counter() - start, 3),
     }
     with ckpt.atomic_write(os.path.join(out_dir, "report.json")) as f:
         json.dump(report, f, indent=2, sort_keys=True)

@@ -2,10 +2,14 @@
 
 ``bench/`` drives the program from outside, through ``harness`` and probes
 around ``federation``; a change that breaks what it relies on fails here,
-not only when the benchmark runs.
+not only when the benchmark runs. The data each workload trains on is
+pinned by digest, so a change that alters it fails here too.
 """
 
+import hashlib
 import pathlib
+
+import pytest
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,3 +45,47 @@ def test_every_workload_passes_the_checks(monkeypatch, tmp_path):
         found += checks.replay_problems(*results)
         problems += [f"{name}: {p}" for p in found]
     assert problems == []
+
+
+class _Built(Exception):
+    """Stops ``run_seed`` once its benchmark data exist."""
+
+
+# sha256 of each workload's data at seed 0, recorded from the per-image
+# generator that came before the vectorised one; every benchmark comparison
+# between two revisions assumes both train on these exact bits.
+# fedfd_a-small and fedavg-wide keep the default benchmark keys.
+DATA_DIGESTS = {
+    "fedfd_a-small": "8ec9d0cb56a88ba4664e9cef2af1ddcdfb644327bb5e64f8abbb01bcd7e42bc1",
+    "fedavg-wide": "8ec9d0cb56a88ba4664e9cef2af1ddcdfb644327bb5e64f8abbb01bcd7e42bc1",
+    "fedbn-many-clients": "429b56260ee22c3f9d3877489033ebbba1b453a258308a0f48ce69b4ed9665ea",
+}
+
+
+def test_workload_data_is_pinned(monkeypatch):
+    # Covers every client's train and val images and labels, in client
+    # order, and the held-out test set, each with its dtype and shape, as
+    # harness.run_seed builds them.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+    from feddiv import domains, harness
+
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(domains.build_benchmark(*args, **kwargs))
+        raise _Built
+
+    monkeypatch.setattr(harness, "build_benchmark", capture)
+    assert set(DATA_DIGESTS) == set(workloads.WORKLOADS)
+    for name, digest in DATA_DIGESTS.items():
+        with pytest.raises(_Built):
+            harness.run_seed(workloads.workload_config(name, 0), 0)
+        bench = built.pop()
+        h = hashlib.sha256()
+        datasets = [c[part] for c in bench.train_clients for part in ("train", "val")]
+        for ds in datasets + [bench.test_set]:
+            for arr in (ds.images, ds.labels):
+                h.update(f"{arr.dtype}{arr.shape}".encode())
+                h.update(arr.tobytes())
+        assert h.hexdigest() == digest, name

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from feddiv.domains import (Dataset, DomainSpec, PartitionSpec, apply_domain,
-                            build_benchmark, generate_base, partition)
+from feddiv.domains import (DEFAULT_DOMAIN_SPECS, Dataset, DomainSpec, PartitionSpec,
+                            apply_domain, build_benchmark, generate_base, partition)
 from feddiv.errors import InputError
 from feddiv.harness import default_domain_specs
 
@@ -10,6 +10,102 @@ from feddiv.harness import default_domain_specs
 def tv_from_uniform(labels, classes):
     hist = np.bincount(labels, minlength=classes) / max(len(labels), 1)
     return 0.5 * np.abs(hist - 1.0 / classes).sum()
+
+
+# -- per-image references ----------------------------------------------------
+# The generator as it was before it painted with array masks: one Python call
+# per image, each with its own coordinate grid. The array version must give
+# the same bytes.
+
+def reference_draw_shape(canvas, label, cx, cy, r, value):
+    h, w = canvas.shape
+    ys, xs = np.mgrid[0:h, 0:w]
+    if label % 5 == 0:  # filled square
+        canvas[max(cy - r, 0):cy + r, max(cx - r, 0):cx + r] = value
+    elif label % 5 == 1:  # disc
+        canvas[(ys - cy) ** 2 + (xs - cx) ** 2 <= r * r] = value
+    elif label % 5 == 2:  # plus
+        canvas[max(cy - r, 0):cy + r, max(cx - 1, 0):cx + 2] = value
+        canvas[max(cy - 1, 0):cy + 2, max(cx - r, 0):cx + r] = value
+    elif label % 5 == 3:  # horizontal stripes
+        band = (ys % 4 < 2) & (np.abs(ys - cy) <= r) & (np.abs(xs - cx) <= r)
+        canvas[band] = value
+    else:  # diagonal cross
+        diag = (np.abs((ys - cy) - (xs - cx)) <= 1) | (np.abs((ys - cy) + (xs - cx)) <= 1)
+        canvas[diag & (np.abs(ys - cy) <= r) & (np.abs(xs - cx) <= r)] = value
+
+
+def reference_generate_base(n, classes, size=16, seed=0, channels=3):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 401]))
+    images = np.empty((n, channels, size, size))
+    labels = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        label = i % classes
+        canvas = np.full((size, size), 0.15)
+        cx = size // 2 + rng.integers(-1, 2)
+        cy = size // 2 + rng.integers(-1, 2)
+        r = size // 3 + int(rng.integers(-1, 2))
+        reference_draw_shape(canvas, label, cx, cy, r, 0.85)
+        canvas += rng.normal(0.0, 0.02, size=canvas.shape)
+        np.clip(canvas, 0.0, 1.0, out=canvas)
+        images[i] = canvas[None].repeat(channels, axis=0)
+        labels[i] = label
+    return Dataset(images, labels)
+
+
+def reference_apply_domain(dataset, spec):
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.domain_id, 907]))
+    n, c, h, w = dataset.images.shape
+    gain = np.broadcast_to(np.asarray(spec.gain).reshape(1, c, 1, 1), (n, c, 1, 1))
+    bias = np.broadcast_to(np.asarray(spec.bias).reshape(1, c, 1, 1), (n, c, 1, 1))
+    if spec.gain_jitter > 0:
+        gain = gain * (1.0 + rng.uniform(-spec.gain_jitter, spec.gain_jitter, size=(n, c, 1, 1)))
+    if spec.bias_jitter > 0:
+        bias = bias + rng.uniform(-spec.bias_jitter, spec.bias_jitter, size=(n, c, 1, 1))
+    out = gain * dataset.images + bias
+    if spec.texture_amp > 0:
+        ys, xs = np.mgrid[0:h, 0:w]
+        phases = rng.uniform(0, 2 * np.pi, size=(n, 2))
+        wave = np.sin(2 * np.pi * spec.texture_freq * ys / h + phases[:, 0, None, None]) \
+            * np.sin(2 * np.pi * spec.texture_freq * xs / w + phases[:, 1, None, None])
+        out = out + spec.texture_amp * wave[:, None, :, :]
+    np.clip(out, 0.0, 1.0, out=out)
+    return Dataset(out, dataset.labels.copy())
+
+
+def assert_same_bytes(got, want, what):
+    for name in ("images", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), (what, name)
+        assert a.tobytes() == b.tobytes(), (what, name)
+
+
+# Both jitters, a texture frequency no default spec uses, and its own seed.
+JITTER_SPEC = DomainSpec(5, gain=(0.8, 1.2, 1.05), bias=(0.05, -0.02, 0.1),
+                         texture_freq=1.5, texture_amp=0.12, seed=2,
+                         gain_jitter=0.3, bias_jitter=0.08)
+
+
+class TestMatchesPerImageReference:
+    @pytest.mark.parametrize("size", [8, 9, 12, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_generate_base(self, size, channels):
+        for n in (0, 1, 7, 301):
+            for classes in (2, 5, 7):
+                for seed in (0, 3, 1017):
+                    assert_same_bytes(generate_base(n, classes, size, seed, channels),
+                                      reference_generate_base(n, classes, size, seed, channels),
+                                      (n, classes, seed))
+
+    @pytest.mark.parametrize("spec", DEFAULT_DOMAIN_SPECS + [JITTER_SPEC],
+                             ids=["domain0", "domain1", "domain2", "domain3", "jitter"])
+    def test_apply_domain(self, spec):
+        for size in (8, 9, 12, 16):
+            for n in (0, 1, 7, 301):
+                for seed in (0, 4):
+                    base = generate_base(n, 5, size, seed)
+                    assert_same_bytes(apply_domain(base, spec),
+                                      reference_apply_domain(base, spec), (size, n, seed))
 
 
 class TestGenerateBase:

@@ -160,12 +160,42 @@ def initial_stats():
 
 class TestLocalUpdate:
     def test_zero_iterations_returns_loaded_bundle(self):
-        client = tiny_client(0, seed=1)
-        server_bundle = random_bundle(5)
-        out, _ = local_update(client, server_bundle, initial_stats(), default_plan(0),
-                              default_cfg())
-        for k in server_bundle:
-            assert np.array_equal(out[k], server_bundle[k]), k
+        # No validation runs, so the upload is the snapshot taken after the
+        # loop: every server array, bit for bit, as a copy.
+        for strategy in ("fedavg", "fedbn"):
+            for round_idx in (0, 1):
+                client = tiny_client(0, seed=1)
+                server_bundle = random_bundle(5)
+                out, _ = local_update(client, server_bundle, initial_stats(),
+                                      default_plan(0), default_cfg(strategy=strategy),
+                                      round_idx)
+                assert set(out) == set(server_bundle)
+                for k in server_bundle:
+                    assert out[k].tobytes() == server_bundle[k].tobytes(), (strategy, k)
+                    assert out[k] is not server_bundle[k], k
+
+    @pytest.mark.parametrize("iterations,val_every,accuracies,snapshots", [
+        (4, 4, [0.5], 1),
+        (6, 2, [0.1, 0.2, 0.3], 3),
+        (6, 2, [0.5, 0.5, 0.4], 1),
+    ])
+    def test_one_full_snapshot_per_improving_validation(self, monkeypatch, iterations,
+                                                        val_every, accuracies, snapshots):
+        full = []
+        scores = iter(accuracies)
+
+        def extract(net, adapters, keys=None):
+            full.append(keys is None)
+            return extract_bundle(net, adapters, keys)
+
+        monkeypatch.setattr(federation, "extract_bundle", extract)
+        monkeypatch.setattr(federation, "evaluate_net", lambda *a, **kw: next(scores))
+        plan = RoundPlan(rounds=1, iterations=iterations, val_every=val_every,
+                         participants_per_round=None)
+        local_update(tiny_client(0, seed=2), random_bundle(6), initial_stats(), plan,
+                     default_cfg())
+        assert next(scores, None) is None  # every accuracy was read
+        assert sum(full) == snapshots
 
     def test_fedprox_mu_zero_matches_fedavg(self):
         outs = []
