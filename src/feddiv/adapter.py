@@ -118,7 +118,6 @@ def _layer_alpha_provider(net: SmallConvNet, adapters: list[InstanceAdapter], mo
                 random_block = rng.uniform(0.0, 1.0, size=(n, len(bns)))
             return Tensor(random_block[:, layer_idx : layer_idx + 1])
         bn = bns[layer_idx]
-        bn._require_global()
         mu_i, sigma_i = instance_stats(h.data, bn.eps)
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         delta, epsilon = adapters[layer_idx].forward(mu_i, sigma_i, bn.global_mean, sigma_g)

@@ -119,6 +119,11 @@ def _semantic_checks(cfg: dict):
             f"benchmark.held_out_domain must be in [0, {b['domains']}), "
             f"got {b['held_out_domain']}"
         )
+    # The domain generator draws five shape kinds on an image of at least 8x8.
+    if not 2 <= b["classes"] <= 5:
+        raise ConfigError(f"benchmark.classes must be in [2, 5], got {b['classes']}")
+    if b["image_size"] < 8:
+        raise ConfigError(f"benchmark.image_size must be >= 8, got {b['image_size']}")
     # Each client needs one training and one validation sample.
     if b["samples_per_client"] < 2:
         raise ConfigError(

@@ -98,8 +98,9 @@ def generate_base(n: int, classes: int, size: int = 16, seed: int = 0,
     pixel noise. Only those draws run per image; each shape kind is then
     painted for all its images at once.
     """
-    if classes < 2:
-        raise InputError("need at least 2 classes")
+    # Five shape kinds: a sixth class would draw the first class's images.
+    if not 2 <= classes <= 5:
+        raise InputError(f"classes must be in [2, 5], got {classes}")
     if size < 8:
         raise InputError("image size must be >= 8")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 401]))
@@ -170,13 +171,21 @@ def partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]
             for i, sample in enumerate(idx):
                 client_indices[(i + offset) % spec.n_clients].append(int(sample))
     else:
-        for cls in classes:
-            idx = np.flatnonzero(dataset.labels == cls)
-            idx = rng.permutation(idx)
-            props = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
-            cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
-            for j, chunk in enumerate(np.split(idx, cuts)):
-                client_indices[j].extend(chunk.tolist())
+        # A client needs one training and one validation sample; a split that
+        # leaves one with fewer than 2 is redrawn whole from the same stream.
+        for _ in range(100):
+            client_indices = [[] for _ in range(spec.n_clients)]
+            for cls in classes:
+                idx = rng.permutation(np.flatnonzero(dataset.labels == cls))
+                props = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
+                cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
+                for j, chunk in enumerate(np.split(idx, cuts)):
+                    client_indices[j].extend(chunk.tolist())
+            if min(map(len, client_indices)) >= 2:
+                break
+        else:
+            raise InputError(f"no Dirichlet split (alpha={spec.alpha}) in 100 draws gives "
+                             f"each of {spec.n_clients} clients 2 of {n} samples")
 
     out = []
     for idx in client_indices:

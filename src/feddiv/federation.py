@@ -318,18 +318,19 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
     if round_idx == 0:
         # No server-synthesized statistics exist before the first
         # aggregation; seed the global buffers from one local forward so
-        # statistic mixing starts from a sane reference instead of (0, 1).
-        warm = Tensor(client.train_data.images[: min(64, len(client.train_data.labels))])
+        # statistic mixing starts from a sane reference instead of (0, 1):
+        # each layer takes its input's batch statistics, then blends at zero.
+        bns = client.net.bn_layers()
+
+        def warm_start(i: int, h: Tensor) -> Tensor:
+            bns[i].set_global_stats(h.data.mean(axis=(0, 2, 3)), h.data.var(axis=(0, 2, 3)))
+            return Tensor(np.zeros((h.shape[0], 1)))
+
         with T.no_grad():
-            h = warm
-            for conv, bn in client.net.blocks:
-                h = conv(h)
-                mu = h.data.mean(axis=(0, 2, 3))
-                var = h.data.var(axis=(0, 2, 3))
-                bn.set_global_stats(mu, var)
-                h = T.relu(bn.forward_eval_global(h))
+            client.net.forward(Tensor(client.train_data.images[:64]),
+                               BNMode.INTERPOLATED_ADAPTER, warm_start)
     else:
-        client.net.set_global_stats([(m.copy(), v.copy()) for m, v in global_stats])
+        client.net.set_global_stats(global_stats)
 
     main_params = client.net.parameters()
     prox_ref = ({k: p.data.copy() for k, p in main_params.items()}
@@ -472,7 +473,7 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
             cfg.stat_aggregation)
 
         load_bundle(eval_net, eval_adapters, server.bundle)
-        eval_net.set_global_stats([(m.copy(), v.copy()) for m, v in server.global_stats])
+        eval_net.set_global_stats(server.global_stats)
         accs = []
         for c, m in zip(ordered_clients, metrics):
             acc = evaluate_net(eval_net, eval_adapters, c.val_data, "eval_global")

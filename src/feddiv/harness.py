@@ -50,7 +50,8 @@ def run_seed(cfg: dict, seed: int) -> dict:
     # training and every evaluation use it.
     net = SmallConvNet(seed=seed, in_channels=m["in_channels"], widths=tuple(m["widths"]),
                        num_classes=b["classes"])
-    adapters = make_adapters(net, cfg["adapter"]["hidden_dim"], seed=seed)
+    adapters = (make_adapters(net, cfg["adapter"]["hidden_dim"], seed=seed)
+                if cfg["adapter"]["enabled"] else None)
     server = ServerState(extract_bundle(net, adapters), n_layers=len(m["widths"]), seed=seed)
     clients = [ClientState(i, entry["train"], entry["val"], net, adapters, seed)
                for i, entry in enumerate(bench.train_clients)]
@@ -59,9 +60,11 @@ def run_seed(cfg: dict, seed: int) -> dict:
                                                      adapters)
 
     load_bundle(net, adapters, best_bundle)
-    net.set_global_stats([(mu.copy(), var.copy()) for mu, var in best_stats])
+    net.set_global_stats(best_stats)
     accuracies = {}
     for mode in INFERENCE_MODES:
+        if mode == "adaptive" and adapters is None:
+            continue  # no adapters were trained
         rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
         accuracies[mode] = evaluate_net(net, adapters, bench.test_set, mode,
                                         fixed_value=cfg["adapter"]["fixed_value"], rng=rng)
@@ -113,7 +116,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
                              extra={"seed": seed, "config_hash": config_hash(cfg)})
 
     summary = {}
-    for mode in INFERENCE_MODES:
+    for mode in result["accuracies"]:  # every seed reports the same modes
         vals = [per_seed[str(s)]["accuracies"][mode] for s in cfg["seeds"]]
         summary[mode] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
 
@@ -150,14 +153,15 @@ def compare_reports(report_paths: list[str]) -> str:
                 f"({rep['benchmark_hash']} != {base_hash})"
             )
 
-    header = ["report"] + list(INFERENCE_MODES) + ["delta_eval_global"]
+    modes = [m for m in INFERENCE_MODES if any(m in rep["summary"] for _, rep in reports)]
+    header = ["report"] + modes + ["delta_eval_global"]
     rows = [header]
     base_mean = reports[0][1]["summary"]["eval_global"]["mean"]
     for path, rep in reports:
         cells = [os.path.basename(os.path.dirname(path)) or path]
-        for mode in INFERENCE_MODES:
-            s = rep["summary"][mode]
-            cells.append(format_cell(s["mean"], s["std"]))
+        for mode in modes:
+            s = rep["summary"].get(mode)
+            cells.append("n/a" if s is None else format_cell(s["mean"], s["std"]))
         delta = rep["summary"]["eval_global"]["mean"] - base_mean
         cells.append(f"{100 * delta:+.2f}")
         rows.append(cells)

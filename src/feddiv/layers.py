@@ -1,18 +1,16 @@
 """Network building blocks: dual-statistics batch norm, conv blocks, classifier.
 
 Every BN layer keeps two statistic sets: the client's own running buffers
-and server-injected global buffers. Four normalization routes exist:
+and server-injected global buffers. A layer normalizes by one of two routes:
+``forward_train`` (mini-batch statistics, updates the running buffers) or
+``forward_blend`` (``w * instance + (1 - w) * global`` statistics through the
+fused op ``tensor.blend_normalize``, buffers untouched). Of the four
+``BNMode`` members, ``TRAIN_BATCH`` is the batch route, and each other mode is
+one blend weight per layer:
 
-* ``TRAIN_BATCH``   - mini-batch statistics, updates running buffers.
-* ``EVAL_GLOBAL``   - global buffers, pure function.
-* ``MIXED_DIVERSIFY`` - per-sample instance stats blended channel-wise with
-  global stats by an externally supplied vector (no buffer mutation).
-* ``INTERPOLATED_ADAPTER`` - per-sample scalar blend of instance and global
-  stats, weight supplied per sample (no buffer mutation).
-
-The last three are one call each to the fused op ``tensor.blend_normalize``;
-only the blend weight differs: a constant zero, one weight per channel, or
-one weight per sample.
+* ``EVAL_GLOBAL``   - a constant zero: global statistics only.
+* ``MIXED_DIVERSIFY`` - an externally supplied weight per channel.
+* ``INTERPOLATED_ADAPTER`` - a weight per sample from an alpha provider.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .tensor import Tensor
 EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-# Blend weight of the EVAL_GLOBAL route: global statistics only.
+# Blend weight of the EVAL_GLOBAL mode: global statistics only.
 _GLOBAL_ONLY = Tensor(0.0)
 
 
@@ -74,12 +72,6 @@ class DualBNLayer:
         self.global_var = np.array(var, dtype=np.float64)
         self.global_initialized = True
 
-    def _require_global(self):
-        if not self.global_initialized:
-            raise UninitializedStatisticsError(
-                "global BN statistics were never set on this layer"
-            )
-
     def forward_train(self, x: Tensor) -> Tensor:
         """Normalize with mini-batch stats and update running buffers."""
         n, c, h, w = x.shape
@@ -98,31 +90,15 @@ class DualBNLayer:
 
     def forward_eval_global(self, x: Tensor) -> Tensor:
         """Pure normalization by the injected global statistics."""
-        self._require_global()
-        return self._blend(x, _GLOBAL_ONLY)
+        return self.forward_blend(x, _GLOBAL_ONLY)
 
-    def forward_mixed(self, x: Tensor, u: np.ndarray) -> Tensor:
-        """Normalize each sample with channel-wise mixed statistics.
+    def forward_blend(self, x: Tensor, w: Tensor) -> Tensor:
+        """Normalize by ``w * instance + (1 - w) * global`` statistics.
 
-        ``u`` blends per-sample instance stats (weight u) against global
-        stats (weight 1-u), independently per channel. Buffers untouched.
+        ``w`` broadcasts against (N, C, 1, 1) and may carry gradients.
         """
-        self._require_global()
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.channels,):
-            raise ConfigError(f"mix vector shape {u.shape} != ({self.channels},)")
-        return self._blend(x, Tensor(u.reshape(1, self.channels, 1, 1)))
-
-    def forward_interpolated(self, x: Tensor, alpha: Tensor) -> Tensor:
-        """Normalize sample i by alpha_i * instance + (1-alpha_i) * global.
-
-        ``alpha`` has shape (N, 1) or (N,), one scalar per sample shared
-        across channels; it may carry gradients (adapter training).
-        """
-        self._require_global()
-        return self._blend(x, T.reshape(alpha, (x.shape[0], 1, 1, 1)))
-
-    def _blend(self, x: Tensor, w: Tensor) -> Tensor:
+        if not self.global_initialized:
+            raise UninitializedStatisticsError("global BN statistics were never set on this layer")
         c = self.channels
         return T.blend_normalize(x, w, self.global_mean.reshape(1, c, 1, 1),
                                  np.sqrt(self.global_var + self.eps).reshape(1, c, 1, 1),
@@ -178,21 +154,16 @@ class SmallConvNet:
         """BN layers in stable network order (adapters index by this)."""
         return [bn for _, bn in self.blocks]
 
-    def feature_params(self) -> dict[str, Tensor]:
-        """Theta: conv weights plus BN affine parameters."""
+    def parameters(self) -> dict[str, Tensor]:
+        """Conv weights and BN affine parameters, then the classifier."""
         params = {}
         for i, (conv, bn) in enumerate(self.blocks):
             params[f"block{i}.conv.w"] = conv.weight
             params[f"block{i}.bn.gamma"] = bn.gamma
             params[f"block{i}.bn.beta"] = bn.beta
+        params["classifier.w"] = self.classifier.weight
+        params["classifier.b"] = self.classifier.bias
         return params
-
-    def classifier_params(self) -> dict[str, Tensor]:
-        """Phi: classifier weight and bias."""
-        return {"classifier.w": self.classifier.weight, "classifier.b": self.classifier.bias}
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {**self.feature_params(), **self.classifier_params()}
 
     def bn_stats(self) -> dict[str, np.ndarray]:
         stats = {}
@@ -220,27 +191,35 @@ class SmallConvNet:
 
         ``mode_context`` supplies whatever the BN mode needs: the per-layer
         mix vectors for MIXED_DIVERSIFY, or a callable
-        ``alpha_for(layer_index, x) -> Tensor`` for INTERPOLATED_ADAPTER.
+        ``alpha_for(layer_index, x) -> Tensor`` of shape (N, 1) for
+        INTERPOLATED_ADAPTER.
         """
+        weight = self._blend_weight(mode, mode_context)
         h = x
         for i, (conv, bn) in enumerate(self.blocks):
             h = conv(h)
-            if mode is BNMode.TRAIN_BATCH:
-                h = bn.forward_train(h)
-            elif mode is BNMode.EVAL_GLOBAL:
-                h = bn.forward_eval_global(h)
-            elif mode is BNMode.MIXED_DIVERSIFY:
-                if mode_context is None:
-                    raise ConfigError("MIXED_DIVERSIFY needs a MixContext")
-                h = bn.forward_mixed(h, mode_context.u_vectors[i])
-            elif mode is BNMode.INTERPOLATED_ADAPTER:
-                if mode_context is None:
-                    raise ConfigError("INTERPOLATED_ADAPTER needs an alpha provider")
-                alpha = mode_context(i, h)
-                h = bn.forward_interpolated(h, alpha)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ConfigError(f"unknown BN mode {mode}")
+            h = bn.forward_train(h) if weight is None else bn.forward_blend(h, weight(i, h))
             h = T.relu(h)
         features = T.global_avg_pool(h)
         logits = self.classifier(features)
         return features, logits
+
+    def _blend_weight(self, mode: BNMode, mode_context):
+        """A blend mode's ``weight(layer_index, h) -> Tensor``; None for TRAIN_BATCH."""
+        if mode is BNMode.TRAIN_BATCH:
+            return None
+        if mode is BNMode.EVAL_GLOBAL:
+            return lambda i, h: _GLOBAL_ONLY
+        if mode_context is None:
+            raise ConfigError(f"{mode} needs a MixContext or an alpha provider")
+        if mode is BNMode.INTERPOLATED_ADAPTER:
+            return lambda i, h: T.reshape(mode_context(i, h), (h.shape[0], 1, 1, 1))
+        if mode is not BNMode.MIXED_DIVERSIFY:
+            raise ConfigError(f"unknown BN mode {mode}")
+        weights = []
+        for bn, u in zip(self.bn_layers(), mode_context.u_vectors):
+            u = np.asarray(u, dtype=np.float64)
+            if u.shape != (bn.channels,):
+                raise ConfigError(f"mix vector shape {u.shape} != ({bn.channels},)")
+            weights.append(Tensor(u.reshape(1, bn.channels, 1, 1)))
+        return lambda i, h: weights[i]

@@ -99,10 +99,10 @@ class TestCriterion1GradientIntegrity:
                 elif mode == "eval":
                     fwd = lambda: bn.forward_eval_global(x)
                 elif mode == "mixed":
-                    fwd = lambda: bn.forward_mixed(x, u)
+                    fwd = lambda: bn.forward_blend(x, Tensor(u.reshape(1, cch, 1, 1)))
                 else:
                     alpha = Tensor(alpha_raw, requires_grad=True)
-                    fwd = lambda: bn.forward_interpolated(x, alpha)
+                    fwd = lambda: bn.forward_blend(x, T.reshape(alpha, (3, 1, 1, 1)))
                 params = [x, bn.gamma, bn.beta]
                 if mode == "interp":
                     params.append(alpha)
@@ -204,23 +204,23 @@ class TestCriterion2Endpoints:
             + self.bn.beta.data.reshape(1, -1, 1, 1)
 
     def test_mixed_u0_equals_eval_global(self):
-        got = self.bn.forward_mixed(self.x, np.zeros(self.c)).data
+        got = self.bn.forward_blend(self.x, Tensor(np.zeros((1, self.c, 1, 1)))).data
         want = self.bn.forward_eval_global(self.x).data
         assert np.abs(got - want).max() < EQ_TOL
 
     def test_mixed_u1_equals_instance_norm(self):
-        got = self.bn.forward_mixed(self.x, np.ones(self.c)).data
+        got = self.bn.forward_blend(self.x, Tensor(np.ones((1, self.c, 1, 1)))).data
         assert np.abs(got - self._instance_norm_oracle()).max() < EQ_TOL
 
     def test_interpolated_alpha0_equals_eval_global(self):
-        alpha = Tensor(np.zeros((5, 1)))
-        got = self.bn.forward_interpolated(self.x, alpha).data
+        alpha = Tensor(np.zeros((5, 1, 1, 1)))
+        got = self.bn.forward_blend(self.x, alpha).data
         want = self.bn.forward_eval_global(self.x).data
         assert np.abs(got - want).max() < EQ_TOL
 
     def test_interpolated_alpha1_equals_instance_norm(self):
-        alpha = Tensor(np.ones((5, 1)))
-        got = self.bn.forward_interpolated(self.x, alpha).data
+        alpha = Tensor(np.ones((5, 1, 1, 1)))
+        got = self.bn.forward_blend(self.x, alpha).data
         assert np.abs(got - self._instance_norm_oracle()).max() < EQ_TOL
 
 

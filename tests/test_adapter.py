@@ -110,7 +110,7 @@ class TestInterpolatedBN:
     def test_alpha_zero_matches_eval_global(self):
         bn = self.make_layer(1)
         x = Tensor(np.random.default_rng(4).uniform(-2, 2, (3, 3, 4, 4)))
-        out = bn.forward_interpolated(x, Tensor(np.zeros((3, 1))))
+        out = bn.forward_blend(x, Tensor(np.zeros((3, 1, 1, 1))))
         want = bn.forward_eval_global(x)
         assert rel_err(out.data, want.data) < 1e-10
 
@@ -118,7 +118,7 @@ class TestInterpolatedBN:
         bn = self.make_layer(2)
         x = np.random.default_rng(5).uniform(-2, 2, (2, 3, 4, 4))
         x[:, 1] = 0.4  # constant channel: instance sigma = sqrt(eps), mean removes it
-        out = bn.forward_interpolated(Tensor(x), Tensor(np.ones((2, 1))))
+        out = bn.forward_blend(Tensor(x), Tensor(np.ones((2, 1, 1, 1))))
         assert np.allclose(out.data[:, 1], bn.beta.data[1], atol=1e-8)
 
     def test_random_alpha_matches_scalar_oracle(self):
@@ -126,7 +126,7 @@ class TestInterpolatedBN:
         rng = np.random.default_rng(6)
         x = rng.uniform(-2, 2, (3, 3, 5, 5))
         alpha = rng.uniform(0, 1, (3, 1))
-        out = bn.forward_interpolated(Tensor(x), Tensor(alpha)).data
+        out = bn.forward_blend(Tensor(x), Tensor(alpha.reshape(3, 1, 1, 1))).data
         mu_i, sigma_i = instance_stats(x, bn.eps)
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         want = np.empty_like(x)
@@ -232,7 +232,7 @@ class TestAdapterTraining:
                                                np.sqrt(bn.global_var + bn.eps))
             alpha = T.clamp(T.add(T.mul(Tensor(z_fixed), delta), eps_t), 0.0, 1.0)
             assert np.all(alpha.data > 0.0) and np.all(alpha.data < 1.0)
-            out = bn.forward_interpolated(h, alpha)
+            out = bn.forward_blend(h, T.reshape(alpha, (2, 1, 1, 1)))
             feats = T.global_avg_pool(T.relu(out))
             return T.softmax_cross_entropy(net.classifier(feats), labels)
 

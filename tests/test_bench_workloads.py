@@ -7,6 +7,7 @@ pinned by digest, so a change that alters it fails here too.
 """
 
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -43,6 +44,43 @@ def test_every_workload_passes_the_checks(monkeypatch, tmp_path):
         finally:
             patcher.restore()
         found += checks.replay_problems(*results)
+        problems += [f"{name}: {p}" for p in found]
+    assert problems == []
+
+
+# Added by bench/run.py from the untraced and traced run times, not by the tracer.
+RUN_TRACE_METRICS = {"trace.untraced_run_s", "trace.traced_run_s", "trace.overhead"}
+
+
+def test_every_workload_passes_the_checks_traced(monkeypatch, tmp_path):
+    # The tracer wraps every public feddiv callable, SmallConvNet.forward by
+    # its signature, so the traced run must pass the checks and yield every
+    # per-layer metric the benchmark declares.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import checks
+    import probes
+    import workloads
+
+    declared = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {m["name"] for m in declared} - RUN_TRACE_METRICS
+    problems = []
+    for name in workloads.WORKLOADS:
+        cfg = workloads.workload_config(name, 0, SHRINK)
+        patcher, recorder, tracer = probes.Patcher(), probes.Recorder(), probes.Tracer()
+        recorder.install(patcher)
+        tracer.install(patcher)
+        try:
+            out_dir = str(tmp_path / name)
+            exp = recorder.run(cfg, out_dir)
+            found = (checks.heldout_problems(exp, cfg, out_dir, 0)
+                     + checks.aggregation_problems(exp, cfg)
+                     + checks.work_problems(exp, cfg))
+        finally:
+            patcher.restore()
+        metrics = tracer.metrics()
+        found += [f"metric {m} missing" for m in sorted(wanted - set(metrics))]
+        if not metrics["layers.forward.train_batch.calls"][0] > 0:
+            found.append("no traced forward")
         problems += [f"{name}: {p}" for p in found]
     assert problems == []
 

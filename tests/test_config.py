@@ -107,10 +107,23 @@ class TestLoadConfig:
         (["model.in_channels=0"], "in_channels"),
         (["benchmark.test_samples=0"], "test_samples"),
         (["model.widths=[]"], "widths"),
+        (["benchmark.classes=1"], "classes"),
+        (["benchmark.classes=6"], "classes"),
+        (["benchmark.image_size=7"], "image_size"),
     ])
     def test_out_of_range_rejected_at_load(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             load_config(overrides=overrides)
+
+    @pytest.mark.parametrize("override", ["benchmark.classes=2", "benchmark.classes=5",
+                                          "benchmark.image_size=8"])
+    def test_bounds_are_inclusive(self, override):
+        load_config(overrides=[override])
+
+    @pytest.mark.parametrize("override", ["benchmark.classes=6", "benchmark.image_size=7"])
+    def test_data_bounds_exit_two_from_cli(self, tmp_path, capsys, override):
+        assert cli_main(["run", "--out", str(tmp_path), "--set", override]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_out_of_range_exits_two_from_cli(self, tmp_path, capsys):
         args = ["run", "--out", str(tmp_path), "--set", "benchmark.samples_per_client=0"]
@@ -197,5 +210,5 @@ class TestHashes:
         a = load_config()
         b = load_config(overrides=["federation.rounds=5", "diversify.enabled=true"])
         assert benchmark_hash(a) == benchmark_hash(b)
-        c = load_config(overrides=["benchmark.classes=7"])
+        c = load_config(overrides=["benchmark.classes=4"])
         assert benchmark_hash(a) != benchmark_hash(c)

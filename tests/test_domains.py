@@ -91,7 +91,7 @@ class TestMatchesPerImageReference:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_generate_base(self, size, channels):
         for n in (0, 1, 7, 301):
-            for classes in (2, 5, 7):
+            for classes in (2, 3, 5):
                 for seed in (0, 3, 1017):
                     assert_same_bytes(generate_base(n, classes, size, seed, channels),
                                       reference_generate_base(n, classes, size, seed, channels),
@@ -138,6 +138,8 @@ class TestGenerateBase:
             generate_base(10, classes=1)
         with pytest.raises(InputError):
             generate_base(10, classes=5, size=4)
+        with pytest.raises(InputError):  # class 5 would draw class 0's shape
+            generate_base(10, classes=6)
 
 
 class TestApplyDomain:
@@ -216,6 +218,23 @@ class TestPartition:
         ds = generate_base(3, 3, seed=12)
         with pytest.raises(InputError):
             partition(ds, PartitionSpec("iid", alpha=0.5, n_clients=10), seed=0)
+
+    @pytest.mark.parametrize("seed", [114, 159])
+    def test_dirichlet_redraws_a_split_that_starves_a_client(self, seed):
+        # fedbn-many-clients' data: the first draw at these seeds leaves a
+        # client 1 sample, which its validation split takes whole.
+        spec = PartitionSpec("dirichlet", alpha=0.5, n_clients=8)
+        bench = build_benchmark(default_domain_specs(6), 3, 100, 5, 16, seed=seed,
+                                val_fraction=0.2, test_samples=10, partition_spec=spec)
+        assert len(bench.train_clients) == 40
+        for c in bench.train_clients:
+            assert len(c["train"]) >= 1 and len(c["val"]) >= 1
+
+    def test_dirichlet_gives_up_after_bounded_draws(self):
+        # Two samples per client leave no slack for a skewed split.
+        ds = generate_base(10, 5, seed=13)
+        with pytest.raises(InputError, match="draws"):
+            partition(ds, PartitionSpec("dirichlet", alpha=0.01, n_clients=5), seed=0)
 
 
 class TestBuildBenchmark:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import feddiv.tensor as T
 from feddiv import federation
 from feddiv.adapter import make_adapters
 from feddiv.diversify import LossWeights, SamplingDistribution
@@ -283,6 +284,41 @@ class TestLocalUpdate:
         assert np.array_equal(client.net.blocks[0][1].gamma.data, np.full(4, 2.71))
         assert np.array_equal(client.net.blocks[0][1].local_var, np.full(4, 1.61))
         assert np.array_equal(client.net.classifier.weight.data, server_bundle["classifier.w"])
+
+
+def reference_warm_start(net, train_data):
+    """Round 0's global statistics as a hand-written block loop."""
+    warm = Tensor(train_data.images[: min(64, len(train_data.labels))])
+    with T.no_grad():
+        h = warm
+        for conv, bn in net.blocks:
+            h = conv(h)
+            mu = h.data.mean(axis=(0, 2, 3))
+            var = h.data.var(axis=(0, 2, 3))
+            bn.set_global_stats(mu, var)
+            h = T.relu(bn.forward_eval_global(h))
+    return [(bn.global_mean, bn.global_var) for bn in net.bn_layers()]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("widths", [(4,), (4, 6), (3, 4, 5)])
+    @pytest.mark.parametrize("n", [24, 90])  # fewer and more than the 64 warm images
+    def test_matches_block_loop(self, widths, n):
+        net = SmallConvNet(in_channels=3, widths=widths, num_classes=3, seed=3)
+        rng = np.random.default_rng(n + len(widths))
+        bundle = {k: rng.uniform(-1, 1, v.shape) for k, v in extract_bundle(net, None).items()}
+        client = ClientState(0, tiny_dataset(n, seed=4), tiny_dataset(9, seed=5), net, None, 0)
+        stale = [(np.full(w, 9.0), np.full(w, 9.0)) for w in widths]
+        local_update(client, bundle, stale, default_plan(0),
+                     default_cfg(diversify=False, adapter=False), round_idx=0)
+        got = [(bn.global_mean, bn.global_var) for bn in net.bn_layers()]
+
+        ref_net = SmallConvNet(in_channels=3, widths=widths, num_classes=3, seed=11)
+        load_bundle(ref_net, None, bundle)
+        want = reference_warm_start(ref_net, client.train_data)
+        for (mu, var), (mu_ref, var_ref) in zip(got, want, strict=True):
+            assert mu.tobytes() == mu_ref.tobytes()
+            assert var.tobytes() == var_ref.tobytes()
 
 
 class TestEvaluate:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from feddiv import harness
+from feddiv import checkpoint, harness
 from feddiv.cli import main as cli_main
 from feddiv.config import load_config
 from feddiv.errors import ConfigError
@@ -77,6 +77,54 @@ class TestRunSeed:
         assert set(res["accuracies"]) == set(INFERENCE_MODES)
         for v in res["accuracies"].values():
             assert 0.0 <= v <= 1.0
+
+
+class TestAdapterOff:
+    """A run without the adapter builds none and reports no adaptive score."""
+
+    @pytest.fixture(scope="class")
+    def off_report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("off")
+        return str(out), run_experiment(tiny_cfg(["adapter.enabled=false"]), str(out))
+
+    def test_no_adapters_built(self, monkeypatch):
+        built = []
+        make = harness.make_adapters
+        monkeypatch.setattr(harness, "make_adapters",
+                            lambda *a, **kw: built.append(1) or make(*a, **kw))
+        res = run_seed(tiny_cfg(["adapter.enabled=false"]), 7)
+        assert built == []
+        assert not any(k.startswith("adapter.") for k in res["bundle"])
+        assert set(res["accuracies"]) == set(INFERENCE_MODES) - {"adaptive"}
+
+    def test_report_and_checkpoint_hold_no_adapter(self, off_report):
+        out, report = off_report
+        assert "adaptive" not in report["summary"]
+        assert "adaptive" not in report["per_seed"]["7"]["accuracies"]
+        arrays, _ = checkpoint.load_checkpoint(os.path.join(out, "checkpoints",
+                                                            "best_seed7.json"))
+        assert arrays and not any(k.startswith("adapter.") for k in arrays)
+
+    def test_same_main_net_as_with_adapter_untrained(self):
+        # The adapter trains on its own streams; with warm-up past the last
+        # round it never steps, so the main net is the one it would be off.
+        on = run_seed(tiny_cfg(["adapter.warmup_rounds=5"]), 7)
+        off = run_seed(tiny_cfg(["adapter.enabled=false"]), 7)
+        assert on["ledger"] == off["ledger"]
+        for k, v in off["bundle"].items():
+            assert v.tobytes() == on["bundle"][k].tobytes(), k
+        assert {m: on["accuracies"][m] for m in off["accuracies"]} == off["accuracies"]
+
+    def test_compare_shows_missing_mode_as_na(self, tiny_report, off_report):
+        _, on_out, _ = tiny_report
+        off_out, _ = off_report
+        table = compare_reports([os.path.join(on_out, "report.json"),
+                                 os.path.join(off_out, "report.json")])
+        header, on_row, off_row = table.splitlines()
+        assert header.split()[:5] == ["report"] + list(INFERENCE_MODES)
+        # cells read "mean (std)"; the adaptive column is the second
+        assert off_row.split()[3] == "n/a" and off_row.count("n/a") == 1
+        assert "n/a" not in on_row
 
 
 class TestRunExperiment:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
+from feddiv.diversify import MixContext
 from feddiv.errors import ConfigError, InputError, UninitializedStatisticsError
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
@@ -231,17 +232,17 @@ class TestGlobalOnlyBlend:
         x = Tensor(rng.uniform(-2, 2, (4, 3, 5, 5)), requires_grad=True)
         calls = self.count_moments(monkeypatch)
         net.forward(Tensor(rng.uniform(0, 1, (2, 3, 16, 16))), BNMode.EVAL_GLOBAL)
-        bn.forward_mixed(x, np.zeros(3))
-        bn.forward_interpolated(x, Tensor(np.zeros((4, 1))))
+        bn.forward_blend(x, Tensor(np.zeros((1, 3, 1, 1))))
+        bn.forward_blend(x, Tensor(np.zeros((4, 1, 1, 1))))
         assert not calls
 
     def test_weighted_or_trainable_blends_use_instance_moments(self, monkeypatch):
         bn, rng = self.make_bn(22)
         x = Tensor(rng.uniform(-2, 2, (4, 3, 5, 5)))
         calls = self.count_moments(monkeypatch)
-        bn.forward_mixed(x, np.array([0.0, 0.3, 0.0]))
+        bn.forward_blend(x, Tensor(np.array([0.0, 0.3, 0.0]).reshape(1, 3, 1, 1)))
         assert len(calls) == 1
-        bn.forward_interpolated(x, Tensor(np.zeros((4, 1)), requires_grad=True))
+        bn.forward_blend(x, Tensor(np.zeros((4, 1, 1, 1)), requires_grad=True))
         assert len(calls) == 2
 
     def test_one_pixel_map(self):
@@ -253,7 +254,7 @@ class TestGlobalOnlyBlend:
             * bn.gamma.data.reshape(1, 3, 1, 1) + bn.beta.data.reshape(1, 3, 1, 1)
         assert np.array_equal(out, want)
         with pytest.raises(InputError):
-            bn.forward_mixed(Tensor(x), np.full(3, 0.5))
+            bn.forward_blend(Tensor(x), Tensor(np.full((1, 3, 1, 1), 0.5)))
 
 
 class TestInstanceStats:
@@ -332,6 +333,32 @@ class TestSmallConvNetForward:
             net.forward(x, BNMode.MIXED_DIVERSIFY)
         with pytest.raises(ConfigError):
             net.forward(x, BNMode.INTERPOLATED_ADAPTER)
+
+    def test_mix_vector_shape_checked(self):
+        net = self.make_net()
+        x = Tensor(np.zeros((2, 3, 16, 16)))
+        with pytest.raises(ConfigError, match="mix vector shape"):
+            net.forward(x, BNMode.MIXED_DIVERSIFY, MixContext([np.zeros(4), np.zeros(4)]))
+
+    def test_blend_modes_are_one_weight_per_layer(self):
+        # Each blend mode equals forward_blend at its weight, block by block.
+        net = self.make_net(seed=4)
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.uniform(0, 1, (3, 3, 16, 16)))
+        u = [rng.uniform(0, 1, bn.channels) for bn in net.bn_layers()]
+        alphas = [rng.uniform(0, 1, (3, 1)) for _ in net.bn_layers()]
+        cases = [
+            (BNMode.EVAL_GLOBAL, None, [np.zeros(())] * 2),
+            (BNMode.MIXED_DIVERSIFY, MixContext(u), [v.reshape(1, -1, 1, 1) for v in u]),
+            (BNMode.INTERPOLATED_ADAPTER, lambda i, h: Tensor(alphas[i]),
+             [a.reshape(3, 1, 1, 1) for a in alphas]),
+        ]
+        for mode, ctx, weights in cases:
+            _, logits = net.forward(x, mode, ctx)
+            h = x
+            for (conv, bn), w in zip(net.blocks, weights):
+                h = T.relu(bn.forward_blend(conv(h), Tensor(w)))
+            assert logits.data.tobytes() == net.classifier(T.global_avg_pool(h)).data.tobytes()
 
     def test_eval_global_layer_replay_oracle(self):
         net = self.make_net(seed=3)
