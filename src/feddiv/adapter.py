@@ -1,10 +1,12 @@
 """Instance feature adapters: learned test-time statistic interpolation.
 
 One small two-layer MLP per BN layer maps the per-sample difference between
-instance and global statistics to a pair (delta, epsilon). During training
-the interpolation weight is alpha = clamp(z*delta + epsilon) with z drawn
-from N(0,1) (reparameterization); at test time alpha = clamp(epsilon),
-fully deterministic.
+instance and global statistics to a pair (delta, epsilon). One rule turns
+that pair into the layer's interpolation weight: during training alpha =
+clamp(z*delta + epsilon) with z drawn from N(0,1) (reparameterization); at
+test time alpha = clamp(epsilon), fully deterministic. The ablation
+baselines use no adapter: one (N, n_layers) block of alphas, constant or
+uniform, gives layer i column i.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class InstanceAdapter:
     def __init__(self, channels: int, hidden_dim: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.channels = channels
-        self.hidden_dim = hidden_dim
         self.fc1 = Linear(2 * channels, hidden_dim, rng)
         self.fc2 = Linear(hidden_dim, 2, rng)
 
@@ -95,37 +96,22 @@ def alpha_test(delta: Tensor, epsilon: Tensor) -> AlphaSample:
     return AlphaSample(alpha=alpha, delta=delta, epsilon=epsilon, z=None)
 
 
-def _layer_alpha_provider(net: SmallConvNet, adapters: list[InstanceAdapter], mode: str,
-                          rng: np.random.Generator | None, fixed_value: float):
-    """Build the per-layer alpha callable used by the interpolated forward.
+def _learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
+                    rng: np.random.Generator | None):
+    """The adapters' per-layer ``alpha_for(i, h)`` for the interpolated forward.
 
-    The ``"random"`` mode draws one (N, n_layers) block at layer 0 and gives
-    layer i column i, so one generator hands each sample the same alphas
-    however the samples are split into forward passes.
+    A reparameterized draw from ``rng``, or ``alpha_test`` when ``rng`` is None.
     """
     bns = net.bn_layers()
-    random_block = None
 
     def alpha_for(layer_idx: int, h: Tensor) -> Tensor:
-        nonlocal random_block
-        n = h.shape[0]
-        if mode == "fixed":
-            return Tensor(np.full((n, 1), np.clip(fixed_value, 0.0, 1.0)))
-        if mode == "random":
-            if rng is None:
-                raise ConfigError("random alpha mode needs an RNG")
-            if layer_idx == 0:
-                random_block = rng.uniform(0.0, 1.0, size=(n, len(bns)))
-            return Tensor(random_block[:, layer_idx : layer_idx + 1])
         bn = bns[layer_idx]
         mu_i, sigma_i = instance_stats(h.data, bn.eps)
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         delta, epsilon = adapters[layer_idx].forward(mu_i, sigma_i, bn.global_mean, sigma_g)
-        if mode == "learned_train":
-            return reparam_alpha_train(delta, epsilon, rng).alpha
-        if mode == "learned_test":
+        if rng is None:
             return alpha_test(delta, epsilon).alpha
-        raise ConfigError(f"unknown alpha mode {mode!r}")
+        return reparam_alpha_train(delta, epsilon, rng).alpha
 
     return alpha_for
 
@@ -139,7 +125,7 @@ def adapter_train_step(net: SmallConvNet, adapters: list[InstanceAdapter], batch
     network's parameters stop requiring grad for the step, so the backward
     pass ends at the alphas and leaves their ``grad`` untouched.
     """
-    provider = _layer_alpha_provider(net, adapters, "learned_train", rng, 0.0)
+    provider = _learned_alphas(net, adapters, rng)
     main_params = list(net.parameters().values())
     saved = [p.requires_grad for p in main_params]
     for p in main_params:
@@ -159,17 +145,31 @@ def adapter_train_step(net: SmallConvNet, adapters: list[InstanceAdapter], batch
 def adaptive_inference(net: SmallConvNet, adapters: list[InstanceAdapter],
                        x: Tensor) -> Tensor:
     """Single deterministic forward with learned alpha = clamp(epsilon)."""
-    provider = _layer_alpha_provider(net, adapters, "learned_test", None, 0.0)
+    provider = _learned_alphas(net, adapters, None)
     _, logits = net.forward(x, BNMode.INTERPOLATED_ADAPTER, provider)
     return logits
 
 
 def baseline_alpha_inference(net: SmallConvNet, x: Tensor, mode: str,
-                             fixed_value: float = 0.5,
+                             fixed_value: float | None = None,
                              rng: np.random.Generator | None = None) -> Tensor:
-    """Ablation inference: constant alpha or per-sample uniform alpha."""
-    if mode not in ("fixed", "random"):
+    """Ablation inference: constant alpha or per-sample uniform alpha.
+
+    One (N, n_layers) block of alphas gives layer i column i, so one
+    generator hands each sample the same alphas however the samples are
+    split into forward passes.
+    """
+    size = (x.shape[0], len(net.bn_layers()))
+    if mode == "fixed":
+        if fixed_value is None:
+            raise ConfigError("fixed alpha mode needs a value")
+        block = np.full(size, float(fixed_value))
+    elif mode == "random":
+        if rng is None:
+            raise ConfigError("random alpha mode needs an RNG")
+        block = rng.uniform(0.0, 1.0, size=size)
+    else:
         raise ConfigError(f"baseline alpha mode must be 'fixed' or 'random', got {mode!r}")
-    provider = _layer_alpha_provider(net, [], mode, rng, fixed_value)
-    _, logits = net.forward(x, BNMode.INTERPOLATED_ADAPTER, provider)
+    _, logits = net.forward(x, BNMode.INTERPOLATED_ADAPTER,
+                            lambda i, h: Tensor(block[:, i : i + 1]))
     return logits

@@ -89,7 +89,7 @@ def _merge(base: dict, incoming: dict) -> dict:
     out = copy.deepcopy(base)
     for section, content in incoming.items():
         if section == "seeds":
-            if not isinstance(content, list) or not all(isinstance(s, int) for s in content):
+            if not isinstance(content, list) or not all(type(s) is int for s in content):
                 raise ConfigError("seeds: expected a list of integers")
             out["seeds"] = list(content)
             continue
@@ -138,10 +138,17 @@ def _semantic_checks(cfg: dict):
             f"adapter.hidden_dim must be >= 1, got {cfg['adapter']['hidden_dim']}")
     if b["test_samples"] < 1:
         raise ConfigError(f"benchmark.test_samples must be >= 1, got {b['test_samples']}")
-    if not cfg["seeds"]:
+    seeds = cfg["seeds"]
+    if not seeds:
         raise ConfigError("seeds: need at least one seed")
+    # Seeds key the data, the weights and the file names of a run.
+    if min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: expected distinct integers >= 0, got {seeds}")
+    if not 0 <= cfg["adapter"]["fixed_value"] <= 1:
+        raise ConfigError(
+            f"adapter.fixed_value must be in [0, 1], got {cfg['adapter']['fixed_value']}")
     m = cfg["model"]
-    if not m["widths"] or not all(isinstance(w, int) and w > 0 for w in m["widths"]):
+    if not m["widths"] or not all(type(w) is int and w > 0 for w in m["widths"]):
         raise ConfigError("model.widths: expected one or more positive integers")
     # The domain generator makes RGB images only.
     if m["in_channels"] != 3:
@@ -160,7 +167,7 @@ def run_spec(cfg: dict) -> tuple[PartitionSpec, RoundPlan, TrainConfig]:
         distribution=SamplingDistribution(d["distribution"], d["low"], d["high"],
                                           d["value"]),
         loss_weights=LossWeights(cfg["loss"]["lambda1"], cfg["loss"]["lambda2"]),
-        adapter=a["enabled"], adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
+        adapter_warmup_rounds=a["warmup_rounds"], adapter_lr=a["lr"],
         prox_mu=f["prox_mu"],
         stop_gradient_features=d["stop_gradient_features"],
         stat_aggregation=f["stat_aggregation"],

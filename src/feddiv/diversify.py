@@ -23,9 +23,9 @@ class SamplingDistribution:
     """Distribution for channel interpolation weights: uniform(a,b) or fixed(c)."""
 
     kind: str  # "uniform" | "fixed"
-    low: float = 0.0
-    high: float = 1.0
-    value: float = 0.5
+    low: float
+    high: float
+    value: float
 
     def __post_init__(self):
         if self.kind not in ("uniform", "fixed"):

@@ -215,7 +215,6 @@ class TrainConfig:
     diversify: bool
     distribution: SamplingDistribution
     loss_weights: LossWeights
-    adapter: bool
     adapter_warmup_rounds: int
     adapter_lr: float
     prox_mu: float
@@ -233,6 +232,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.adapter_lr > 0:
             raise ConfigError(f"adapter_lr must be positive, got {self.adapter_lr}")
+        if not self.prox_mu >= 0:
+            raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 
 
 class ClientState:
@@ -280,20 +281,22 @@ class ClientState:
 
 
 class ServerState:
-    """Global bundle, synthesized statistics, round ledger, best snapshot."""
+    """Global bundle, synthesized statistics, best snapshot (round -1: the start)."""
 
     def __init__(self, bundle: dict, n_layers: int, seed: int):
         self.bundle = bundle
         self.n_layers = n_layers
-        self.global_stats = [(np.zeros_like(bundle[f"block{i}.bn.local_mean"]),
-                              np.ones_like(bundle[f"block{i}.bn.local_var"]))
-                             for i in range(n_layers)]
-        self.ledger: list[dict] = []
-        self.best_round = -1
-        self.best_score = -np.inf
-        self.best_bundle: dict | None = None
-        self.best_stats = None
+        self.global_stats = [(m.copy(), v.copy())
+                             for m, v in bundle_layer_stats(bundle, n_layers)]
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 9137]))
+        self.keep_best(-1, -np.inf)
+
+    def keep_best(self, round_idx: int, score: float):
+        """Snapshot the current bundle and global statistics as the best round."""
+        self.best_round = round_idx
+        self.best_score = score
+        self.best_bundle = {k: v.copy() for k, v in self.bundle.items()}
+        self.best_stats = [(m.copy(), v.copy()) for m, v in self.global_stats]
 
 
 # -- local training ----------------------------------------------------------
@@ -337,7 +340,7 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
                 if cfg.strategy == "fedprox" else None)
     optimizer = SGD(main_params, lr=cfg.lr, momentum=cfg.momentum)
     adapter_opt = None
-    if cfg.adapter and client.adapters is not None:
+    if client.adapters is not None and round_idx >= cfg.adapter_warmup_rounds:
         # The adapter head sits behind the normalization statistics, where
         # gradients are far larger than in the main net; a hot momentum-SGD
         # step there diverges, so the adapter gets its own gentle optimizer.
@@ -350,7 +353,6 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
     best_val = -np.inf
     best_bundle = None
     loss_sums = {"ce": 0.0, "cacl": 0.0, "cafl": 0.0, "total": 0.0}
-    adapter_training = cfg.adapter and round_idx >= cfg.adapter_warmup_rounds
 
     for it in range(plan.iterations):
         images, labels = client.next_batch(cfg.batch_size)
@@ -381,7 +383,7 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
         loss_sums["cafl"] += comps["cafl"]
         loss_sums["total"] += float(total.data)
 
-        if adapter_training and adapter_opt is not None:
+        if adapter_opt is not None:
             adapter_mod.adapter_train_step(client.net, client.adapters, batch, labels,
                                            adapter_opt, client.adapter_rng)
 
@@ -409,7 +411,7 @@ EVAL_CHUNK = 256
 
 
 def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
-                 fixed_value: float = 0.5,
+                 fixed_value: float | None = None,
                  rng: np.random.Generator | None = None) -> float:
     """Fraction of correct argmax predictions under the given inference mode.
 
@@ -441,16 +443,21 @@ def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
 # -- federation loop ----------------------------------------------------------
 
 def run_federation(clients: list[ClientState], server: ServerState, plan: RoundPlan,
-                   cfg: TrainConfig, eval_net: SmallConvNet,
-                   eval_adapters=None) -> tuple[dict, list, list[dict]]:
-    """Run the full protocol; returns (best bundle, best stats, ledger rows)."""
+                   cfg: TrainConfig) -> tuple[dict, list, list[dict]]:
+    """Run the full protocol; returns (best bundle, best stats, ledger rows).
+
+    Clients train, upload and are scored in id order. Server validation runs
+    on the network and adapters the clients share.
+    """
     if not clients:
         raise ProtocolError("run_federation: need at least one client")
+    clients = sorted(clients, key=lambda c: c.client_id)
+    net, adapters = clients[0].net, clients[0].adapters
     ledger: list[dict] = []
 
     for rnd in range(plan.rounds):
         if plan.participants_per_round is None or plan.participants_per_round >= len(clients):
-            participants = list(clients)
+            participants = clients
         else:
             picks = server.rng.choice(len(clients), size=plan.participants_per_round,
                                       replace=False)
@@ -458,13 +465,8 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
 
         results = [local_update(c, server.bundle, server.global_stats, plan, cfg, rnd)
                    for c in participants]
-
-        # canonical order: by client id
-        order = np.argsort([c.client_id for c in participants])
-        uploads = [results[i][0] for i in order]
-        metrics = [results[i][1] for i in order]
-        ordered_clients = [participants[i] for i in order]
-        n_list = [c.n_samples for c in ordered_clients]
+        uploads = [upload for upload, _ in results]
+        n_list = [c.n_samples for c in participants]
 
         agg = aggregate(uploads, n_list, cfg.strategy)
         server.bundle.update(agg)
@@ -472,11 +474,11 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
             [bundle_layer_stats(b, server.n_layers) for b in uploads], n_list,
             cfg.stat_aggregation)
 
-        load_bundle(eval_net, eval_adapters, server.bundle)
-        eval_net.set_global_stats(server.global_stats)
+        load_bundle(net, adapters, server.bundle)
+        net.set_global_stats(server.global_stats)
         accs = []
-        for c, m in zip(ordered_clients, metrics):
-            acc = evaluate_net(eval_net, eval_adapters, c.val_data, "eval_global")
+        for c, (_, m) in zip(participants, results):
+            acc = evaluate_net(net, adapters, c.val_data, "eval_global")
             accs.append(acc)
             ledger.append({"round": rnd, "client_id": c.client_id, "split": "server_val",
                            "accuracy": acc, "ce": m["ce"], "cacl": m["cacl"],
@@ -484,14 +486,5 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
         mean_acc = float(np.mean(accs))
         log.info("round %d: mean participant validation accuracy %.4f", rnd, mean_acc)
         if mean_acc > server.best_score:
-            server.best_score = mean_acc
-            server.best_round = rnd
-            server.best_bundle = {k: v.copy() for k, v in server.bundle.items()}
-            server.best_stats = [(m.copy(), v.copy()) for m, v in server.global_stats]
-        server.ledger.append({"round": rnd, "mean_val_accuracy": mean_acc})
-
-    if server.best_bundle is None:  # zero rounds: fall back to the initial model
-        server.best_bundle = {k: v.copy() for k, v in server.bundle.items()}
-        server.best_stats = [(m.copy(), v.copy()) for m, v in server.global_stats]
-        server.best_round = -1
+            server.keep_best(rnd, mean_acc)
     return server.best_bundle, server.best_stats, ledger

@@ -48,16 +48,14 @@ def run_seed(cfg: dict, seed: int) -> dict:
 
     # One network per run: the server's initial bundle, every client's
     # training and every evaluation use it.
-    net = SmallConvNet(seed=seed, in_channels=m["in_channels"], widths=tuple(m["widths"]),
-                       num_classes=b["classes"])
+    net = SmallConvNet(m["in_channels"], tuple(m["widths"]), b["classes"], seed=seed)
     adapters = (make_adapters(net, cfg["adapter"]["hidden_dim"], seed=seed)
                 if cfg["adapter"]["enabled"] else None)
     server = ServerState(extract_bundle(net, adapters), n_layers=len(m["widths"]), seed=seed)
     clients = [ClientState(i, entry["train"], entry["val"], net, adapters, seed)
                for i, entry in enumerate(bench.train_clients)]
 
-    best_bundle, best_stats, ledger = run_federation(clients, server, plan, tcfg, net,
-                                                     adapters)
+    best_bundle, best_stats, ledger = run_federation(clients, server, plan, tcfg)
 
     load_bundle(net, adapters, best_bundle)
     net.set_global_stats(best_stats)

@@ -132,16 +132,13 @@ class Linear:
 class SmallConvNet:
     """conv -> DualBN -> relu blocks, global average pool, linear classifier.
 
-    Stride-2 convolutions halve the spatial size per block so the default
-    three blocks take a 16x16 input down to 2x2 before pooling.
+    Stride-2 convolutions halve the spatial size per block, so three blocks
+    take a 16x16 input down to 2x2 before pooling.
     """
 
-    def __init__(self, in_channels: int = 3, widths: tuple[int, ...] = (16, 32, 64),
-                 num_classes: int = 5, seed: int = 0):
+    def __init__(self, in_channels: int, widths: tuple[int, ...], num_classes: int,
+                 seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.widths = tuple(widths)
-        self.num_classes = num_classes
-        self.in_channels = in_channels
         self.blocks: list[tuple[Conv2dLayer, DualBNLayer]] = []
         prev = in_channels
         for w in widths:

@@ -338,7 +338,7 @@ class TestCriterion5AdapterContracts:
     def test_main_step_freezes_adapters(self):
         rng, net, adapters, x, labels = self._setup()
         ad_before = {k: p.data.copy() for k, p in adapter_parameters(adapters).items()}
-        ctx = sample_mix_context(net, SamplingDistribution("uniform"), rng)
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0, 0.5), rng)
         opt = SGD(net.parameters(), lr=0.05)
         total, _ = local_loss(net, x, labels, ctx, LossWeights(0.1, 4.0))
         opt.zero_grad()

@@ -205,8 +205,8 @@ class TestAdapterTraining:
         # rerun the same forward with the same z draws after the step
         rng_b = np.random.default_rng(123)
         zs = rng_b  # identical stream reproduces identical z per layer
-        from feddiv.adapter import _layer_alpha_provider
-        provider = _layer_alpha_provider(net, adapters, "learned_train", zs, 0.0)
+        from feddiv.adapter import _learned_alphas
+        provider = _learned_alphas(net, adapters, zs)
         _, logits = net.forward(batch, BNMode.INTERPOLATED_ADAPTER, provider)
         loss_after = float(T.softmax_cross_entropy(logits, labels).data)
         assert loss_after < loss_before

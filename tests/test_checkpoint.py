@@ -13,7 +13,7 @@ from feddiv.layers import SmallConvNet
 
 
 def fresh_bundle(seed=0):
-    net = SmallConvNet(widths=(4, 8), seed=seed)
+    net = SmallConvNet(in_channels=3, widths=(4, 8), num_classes=5, seed=seed)
     return extract_bundle(net, make_adapters(net, 8, seed=seed))
 
 

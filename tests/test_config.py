@@ -110,6 +110,9 @@ class TestLoadConfig:
         (["benchmark.classes=1"], "classes"),
         (["benchmark.classes=6"], "classes"),
         (["benchmark.image_size=7"], "image_size"),
+        (['federation.strategy="fedprox"', "federation.prox_mu=-0.5"], "prox_mu"),
+        (["adapter.fixed_value=1.5"], "fixed_value"),
+        (["adapter.fixed_value=-0.1"], "fixed_value"),
     ])
     def test_out_of_range_rejected_at_load(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -124,6 +127,17 @@ class TestLoadConfig:
     def test_data_bounds_exit_two_from_cli(self, tmp_path, capsys, override):
         assert cli_main(["run", "--out", str(tmp_path), "--set", override]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    # Each would otherwise crash in data generation, name files after a bool,
+    # build a width-1 network, or run one seed twice over its own files.
+    @pytest.mark.parametrize("override", ["seeds=[-1]", "seeds=[true]", "seeds=[0,0]",
+                                          "model.widths=[true]"])
+    def test_unusable_seeds_and_widths_exit_two_from_cli(self, tmp_path, capsys, override):
+        args = ["run", "--out", str(tmp_path), "--set", "federation.rounds=0", "--set",
+                override]
+        assert cli_main(args) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_out_of_range_exits_two_from_cli(self, tmp_path, capsys):
         args = ["run", "--out", str(tmp_path), "--set", "benchmark.samples_per_client=0"]

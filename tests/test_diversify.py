@@ -24,14 +24,14 @@ def make_net(seed=0, widths=(4, 8), init_global=True):
 class TestSamplingDistribution:
     def test_fixed_half(self):
         net = make_net()
-        ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.5),
+        ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 0.5),
                                  np.random.default_rng(0))
         assert all(np.all(u == 0.5) for u in ctx.u_vectors)
         assert [len(u) for u in ctx.u_vectors] == [4, 8]
 
     def test_uniform_deterministic_per_seed(self):
         net = make_net()
-        dist = SamplingDistribution("uniform", 0.0, 1.0)
+        dist = SamplingDistribution("uniform", 0.0, 1.0, 0.5)
         a = sample_mix_context(net, dist, np.random.default_rng(42))
         b = sample_mix_context(net, dist, np.random.default_rng(42))
         for ua, ub in zip(a.u_vectors, b.u_vectors):
@@ -40,21 +40,21 @@ class TestSamplingDistribution:
     def test_fresh_vectors_each_call(self):
         net = make_net()
         rng = np.random.default_rng(1)
-        dist = SamplingDistribution("uniform", 0.0, 1.0)
+        dist = SamplingDistribution("uniform", 0.0, 1.0, 0.5)
         a = sample_mix_context(net, dist, rng)
         b = sample_mix_context(net, dist, rng)
         assert not np.array_equal(a.u_vectors[0], b.u_vectors[0])
 
     def test_extrapolating_uniform_leaves_unit_interval(self):
         net = make_net(widths=(64,))
-        ctx = sample_mix_context(net, SamplingDistribution("uniform", -0.1, 1.1),
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", -0.1, 1.1, 0.5),
                                  np.random.default_rng(2))
         u = ctx.u_vectors[0]
         assert u.min() < 0.0 or u.max() > 1.0
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ConfigError):
-            SamplingDistribution("gaussian")
+            SamplingDistribution("gaussian", 0.0, 1.0, 0.5)
 
 
 class TestMixStatistics:
@@ -112,7 +112,7 @@ class TestMixStatistics:
 class TestDiversifiedForward:
     def test_uninitialized_global_rejected(self):
         net = make_net(init_global=False)
-        ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.5),
+        ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 0.5),
                                  np.random.default_rng(0))
         with pytest.raises(UninitializedStatisticsError):
             net.forward(Tensor(np.zeros((2, 3, 16, 16))), BNMode.MIXED_DIVERSIFY, ctx)
@@ -120,7 +120,7 @@ class TestDiversifiedForward:
     def test_u_zero_equals_eval_global(self):
         net = make_net(seed=1)
         x = Tensor(np.random.default_rng(6).uniform(0, 1, (3, 3, 16, 16)))
-        ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.0),
+        ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 0.0),
                                  np.random.default_rng(0))
         f_div, logits_div = net.forward(x, BNMode.MIXED_DIVERSIFY, ctx)
         f_glob, logits_glob = net.forward(x, BNMode.EVAL_GLOBAL)
@@ -130,7 +130,7 @@ class TestDiversifiedForward:
     def test_u_one_equals_pure_instance_path(self):
         net = make_net(seed=2)
         x = np.random.default_rng(7).uniform(0, 1, (2, 3, 16, 16))
-        ctx = sample_mix_context(net, SamplingDistribution("fixed", value=1.0),
+        ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 1.0),
                                  np.random.default_rng(0))
         f_div, _ = net.forward(Tensor(x), BNMode.MIXED_DIVERSIFY, ctx)
 
@@ -147,7 +147,7 @@ class TestDiversifiedForward:
     def test_buffers_untouched(self):
         net = make_net(seed=3)
         before = {k: v.copy() for k, v in net.bn_stats().items()}
-        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1),
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1, 0.5),
                                  np.random.default_rng(1))
         net.forward(Tensor(np.random.default_rng(8).uniform(0, 1, (2, 3, 16, 16))),
                     BNMode.MIXED_DIVERSIFY, ctx)
@@ -158,7 +158,7 @@ class TestDiversifiedForward:
     def test_fixed_point_three_matches_scripted_oracle(self):
         net = make_net(seed=4)
         x = np.random.default_rng(9).uniform(0, 1, (2, 3, 16, 16))
-        ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.3),
+        ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 0.3),
                                  np.random.default_rng(0))
         f_div, logits_div = net.forward(Tensor(x), BNMode.MIXED_DIVERSIFY, ctx)
 
@@ -186,7 +186,7 @@ class TestLocalLoss:
         rng = np.random.default_rng(10)
         x = Tensor(rng.uniform(0, 1, (4, 3, 16, 16)))
         labels = rng.integers(0, 5, 4)
-        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1),
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1, 0.5),
                                  np.random.default_rng(2))
         total, comps = local_loss(net, x, labels, ctx, LossWeights(0.0, 0.0))
         # rerun the plain forward on a fresh net copy: running stats moved once
@@ -201,7 +201,7 @@ class TestLocalLoss:
         rng = np.random.default_rng(11)
         x = Tensor(rng.uniform(0, 1, (3, 3, 16, 16)))
         labels = rng.integers(0, 5, 3)
-        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1),
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1, 0.5),
                                  np.random.default_rng(3))
         _, comps = local_loss(net, x, labels, ctx, LossWeights(0.1, 4.0))
         assert comps["cafl"] > 0.0
@@ -214,7 +214,7 @@ class TestLocalLoss:
         rng = np.random.default_rng(12)
         x = Tensor(rng.uniform(0, 1, (4, 3, 16, 16)))
         labels = rng.integers(0, 5, 4)
-        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1),
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1, 0.5),
                                  np.random.default_rng(4))
         for l1, l2 in [(0.1, 4.0), (0.37, 1.3)]:
             total, comps = local_loss(net, x, labels, ctx, LossWeights(l1, l2))
@@ -226,7 +226,7 @@ class TestLocalLoss:
         rng = np.random.default_rng(13)
         x = Tensor(rng.uniform(0, 1, (4, 3, 16, 16)))
         labels = rng.integers(0, 5, 4)
-        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1),
+        ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1, 0.5),
                                  np.random.default_rng(5))
         total, comps = local_loss(net, x, labels, ctx, LossWeights(0.4, 0.0))
         assert float(total.data) >= min(comps["ce"], comps["cacl"]) - 1e-12
@@ -236,7 +236,7 @@ class TestLocalLoss:
         rng = np.random.default_rng(14)
         x = Tensor(rng.uniform(0, 1, (2, 3, 8, 8)))
         labels = rng.integers(0, 5, 2)
-        ctx = sample_mix_context(net, SamplingDistribution("fixed", value=0.6),
+        ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 0.6),
                                  np.random.default_rng(6))
         params = list(net.parameters().values())
 

@@ -6,7 +6,7 @@ from feddiv import federation
 from feddiv.adapter import make_adapters
 from feddiv.diversify import LossWeights, SamplingDistribution
 from feddiv.domains import Dataset, DomainSpec, apply_domain, generate_base
-from feddiv.errors import InputError, ProtocolError
+from feddiv.errors import ConfigError, InputError, ProtocolError
 from feddiv.federation import (ClientState, RoundPlan, ServerState, TrainConfig, aggregate,
                                aggregated_keys, bundle_layer_stats, evaluate_net,
                                extract_bundle, load_bundle, local_update, run_federation,
@@ -147,8 +147,8 @@ def default_plan(iterations=4, rounds=1, participants_per_round=None):
 
 def default_cfg(**kw):
     base = dict(strategy="fedavg", lr=0.01, momentum=0.5, batch_size=8, diversify=True,
-                distribution=SamplingDistribution("uniform", 0, 1),
-                loss_weights=LossWeights(0.1, 4.0), adapter=True, adapter_warmup_rounds=0,
+                distribution=SamplingDistribution("uniform", 0, 1, 0.5),
+                loss_weights=LossWeights(0.1, 4.0), adapter_warmup_rounds=0,
                 adapter_lr=0.005, prox_mu=0.1, stop_gradient_features=False,
                 stat_aggregation="total_variance")
     base.update(kw)
@@ -198,6 +198,23 @@ class TestLocalUpdate:
         assert next(scores, None) is None  # every accuracy was read
         assert sum(full) == snapshots
 
+    def test_adapter_steps_only_with_adapters_past_warmup(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(federation.adapter_mod, "adapter_train_step",
+                            lambda *a: calls.append(a))
+        plan = default_plan(iterations=3)
+        steps = []
+        for adapters, round_idx in [(False, 0), (False, 1), (True, 0), (True, 1)]:
+            client = tiny_client(0, seed=9)
+            if not adapters:
+                client.adapters = None
+            bundle = extract_bundle(client.net, client.adapters)
+            local_update(client, bundle, initial_stats(), plan,
+                         default_cfg(adapter_warmup_rounds=1), round_idx)
+            steps.append(len(calls))
+            calls.clear()
+        assert steps == [0, 0, 0, plan.iterations]
+
     def test_fedprox_mu_zero_matches_fedavg(self):
         outs = []
         for strategy, mu in [("fedavg", 0.1), ("fedprox", 0.0)]:
@@ -232,7 +249,7 @@ class TestLocalUpdate:
         client = tiny_client(0, seed=5)
         client.net.blocks[0][1].local_mean = np.full(4, 3.14)
         server_bundle = random_bundle(9)
-        cfg = default_cfg(strategy="silobn", adapter=False, diversify=False)
+        cfg = default_cfg(strategy="silobn", diversify=False)
         keys = aggregated_keys(server_bundle.keys(), "silobn")
         load_bundle(client.net, client.adapters, server_bundle, keys)
         assert np.array_equal(client.net.blocks[0][1].local_mean, np.full(4, 3.14))
@@ -310,7 +327,7 @@ class TestWarmStart:
         client = ClientState(0, tiny_dataset(n, seed=4), tiny_dataset(9, seed=5), net, None, 0)
         stale = [(np.full(w, 9.0), np.full(w, 9.0)) for w in widths]
         local_update(client, bundle, stale, default_plan(0),
-                     default_cfg(diversify=False, adapter=False), round_idx=0)
+                     default_cfg(diversify=False), round_idx=0)
         got = [(bn.global_mean, bn.global_var) for bn in net.bn_layers()]
 
         ref_net = SmallConvNet(in_channels=3, widths=widths, num_classes=3, seed=11)
@@ -342,6 +359,12 @@ class TestEvaluate:
         _, logits = net.forward(Tensor(ds.images), BNMode.EVAL_GLOBAL)
         want = (logits.data.argmax(axis=1) == ds.labels).sum() / len(ds)
         assert acc == pytest.approx(want)
+
+    def test_fixed_alpha_needs_a_value(self):
+        net = SmallConvNet(seed=0, **MODEL)
+        net.set_global_stats(initial_stats())
+        with pytest.raises(ConfigError, match="fixed alpha mode needs a value"):
+            evaluate_net(net, None, tiny_dataset(n=6), "fixed_alpha")
 
     def test_empty_dataset_rejected(self):
         net = SmallConvNet(seed=0, **MODEL)
@@ -379,7 +402,8 @@ class TestEvaluate:
 
             monkeypatch.setattr(federation, "EVAL_CHUNK", chunk)
             monkeypatch.setattr(net, "forward", recording)
-            acc = evaluate_net(net, adapters, ds, mode, rng=np.random.default_rng(5))
+            acc = evaluate_net(net, adapters, ds, mode, fixed_value=0.5,
+                               rng=np.random.default_rng(5))
             runs.append((acc, np.concatenate(logits),
                          {i: np.concatenate(a) for i, a in alphas.items()}))
 
@@ -413,7 +437,7 @@ class TestRunFederation:
         ledgers = []
         for _ in range(2):
             clients, server, plan, cfg, net, ad = build_federation(seed=1)
-            _, _, ledger = run_federation(clients, server, plan, cfg, net, ad)
+            _, _, ledger = run_federation(clients, server, plan, cfg)
             ledgers.append(ledger)
         assert ledgers[0] == ledgers[1]
 
@@ -424,23 +448,50 @@ class TestRunFederation:
         template = SmallConvNet(seed=3, **MODEL)
         ad = make_adapters(template, 8, seed=3)
         server = ServerState(extract_bundle(template, ad), 1, seed=3)
-        _, _, ledger = run_federation(clients, server, default_plan(), default_cfg(), template,
-                                      ad)
+        _, _, ledger = run_federation(clients, server, default_plan(), default_cfg())
         accs = [r["accuracy"] for r in ledger if r["split"] == "server_val"]
         assert accs[0] == accs[1]
 
     def test_best_round_snapshot_matches_ledger_argmax(self):
         clients, server, plan, cfg, net, ad = build_federation(seed=4, rounds=3)
-        run_federation(clients, server, plan, cfg, net, ad)
-        scores = [r["mean_val_accuracy"] for r in server.ledger]
+        _, _, ledger = run_federation(clients, server, plan, cfg)
+        scores = [float(np.mean([r["accuracy"] for r in ledger if r["round"] == rnd]))
+                  for rnd in range(plan.rounds)]
         assert server.best_round == int(np.argmax(scores))
         assert server.best_score == max(scores)
+
+    def test_zero_rounds_keep_the_starting_arrays(self):
+        clients, server, _, cfg, net, ad = build_federation(seed=4)
+        start = {k: v.copy() for k, v in server.bundle.items()}
+        best, stats, ledger = run_federation(clients, server, default_plan(rounds=0), cfg)
+        assert ledger == []
+        assert server.best_round == -1
+        assert list(best) == list(start)
+        for k in start:
+            assert best[k].tobytes() == start[k].tobytes(), k
+        for (m, v), (m0, v0) in zip(stats, bundle_layer_stats(start, 1), strict=True):
+            assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
+
+    def test_client_list_order_changes_nothing(self):
+        runs = []
+        for reverse in (False, True):
+            clients, server, _, cfg, net, ad = build_federation(seed=6, rounds=3)
+            plan = default_plan(iterations=2, rounds=3, participants_per_round=2)
+            best, _, ledger = run_federation(clients[::-1] if reverse else clients, server,
+                                             plan, cfg)
+            runs.append((best, ledger, server.best_round))
+        (best0, ledger0, round0), (best1, ledger1, round1) = runs
+        assert ledger1 == ledger0
+        assert round1 == round0
+        assert list(best1) == list(best0)
+        for k in best0:
+            assert best1[k].tobytes() == best0[k].tobytes(), k
 
     def test_empty_client_list_rejected(self):
         template = SmallConvNet(seed=0, **MODEL)
         server = ServerState(extract_bundle(template, None), 1, seed=0)
         with pytest.raises(ProtocolError):
-            run_federation([], server, default_plan(), default_cfg(), template, None)
+            run_federation([], server, default_plan(), default_cfg())
 
     @pytest.mark.parametrize("participants", [None, 2])
     @pytest.mark.parametrize("strategy", federation.STRATEGIES)
@@ -455,7 +506,7 @@ class TestRunFederation:
                     c.net, c.adapters = net, ad
             plan = default_plan(iterations=4, rounds=3, participants_per_round=participants)
             best, stats, ledger = run_federation(clients, server, plan,
-                                                 default_cfg(strategy=strategy), net, ad)
+                                                 default_cfg(strategy=strategy))
             runs.append((best, stats, ledger, server.best_round))
         (best0, stats0, ledger0, round0), (best1, stats1, ledger1, round1) = runs
         assert ledger1 == ledger0
@@ -469,7 +520,7 @@ class TestRunFederation:
     def test_client_sampling_subset(self):
         clients, server, plan, cfg, net, ad = build_federation(seed=5, rounds=2)
         plan = default_plan(iterations=2, rounds=2, participants_per_round=2)
-        _, _, ledger = run_federation(clients, server, plan, cfg, net, ad)
+        _, _, ledger = run_federation(clients, server, plan, cfg)
         per_round = {}
         for r in ledger:
             per_round.setdefault(r["round"], set()).add(r["client_id"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
-from feddiv.adapter import _layer_alpha_provider, make_adapters
+from feddiv.adapter import _learned_alphas, make_adapters
 from feddiv.diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
 from feddiv.layers import BNMode, SmallConvNet
 from feddiv.tensor import Tensor
@@ -51,10 +51,9 @@ def record_outputs(monkeypatch, names):
 
 def mode_context(mode, net, rng):
     if mode is BNMode.MIXED_DIVERSIFY:
-        return sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0), rng)
+        return sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0, 0.5), rng)
     if mode is BNMode.INTERPOLATED_ADAPTER:
-        return _layer_alpha_provider(net, make_adapters(net, 8, seed=0), "learned_train",
-                                     rng, 0.0)
+        return _learned_alphas(net, make_adapters(net, 8, seed=0), rng)
     return None
 
 
@@ -72,7 +71,7 @@ def test_forward_activations_batch_innermost(monkeypatch, mode):
 
 def test_conv_vjp_receives_batch_innermost_gradients(monkeypatch):
     net, batch, labels, rng = make_setup()
-    ctx = sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0), rng)
+    ctx = sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0, 0.5), rng)
     received = []
     conv2d = T.conv2d
 

@@ -48,7 +48,7 @@ def make_setup(seed=0):
 
 def test_local_loss_tape_size():
     net, batch, labels, rng = make_setup()
-    ctx = sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0), rng)
+    ctx = sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0, 0.5), rng)
     total, _ = local_loss(net, batch, labels, ctx, LossWeights(0.1, 4.0))
     assert tape_nodes(total) == LOCAL_LOSS_NODES
 
