@@ -25,9 +25,7 @@ class AlphaSample:
     """One draw of interpolation weights for a batch at one layer."""
 
     alpha: Tensor  # (N, 1), values in [0, 1]
-    delta: Tensor  # (N, 1) raw adapter output
-    epsilon: Tensor  # (N, 1) raw adapter output
-    z: np.ndarray | None  # (N, 1) normal draw, None at test time
+    z: np.ndarray  # (N, 1) normal draw
 
 
 class InstanceAdapter:
@@ -87,13 +85,12 @@ def reparam_alpha_train(delta: Tensor, epsilon: Tensor, rng: np.random.Generator
     """alpha = clamp(z*delta + epsilon, 0, 1) with z ~ N(0,1) per sample."""
     z = rng.standard_normal(size=delta.shape)
     alpha = T.clamp(T.add(T.mul(Tensor(z), delta), epsilon), 0.0, 1.0)
-    return AlphaSample(alpha=alpha, delta=delta, epsilon=epsilon, z=z)
+    return AlphaSample(alpha=alpha, z=z)
 
 
-def alpha_test(delta: Tensor, epsilon: Tensor) -> AlphaSample:
+def alpha_test(epsilon: Tensor) -> Tensor:
     """Deterministic test-time weight: alpha = clamp(epsilon, 0, 1)."""
-    alpha = T.clamp(epsilon, 0.0, 1.0)
-    return AlphaSample(alpha=alpha, delta=delta, epsilon=epsilon, z=None)
+    return T.clamp(epsilon, 0.0, 1.0)
 
 
 def _learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
@@ -110,7 +107,7 @@ def _learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         delta, epsilon = adapters[layer_idx].forward(mu_i, sigma_i, bn.global_mean, sigma_g)
         if rng is None:
-            return alpha_test(delta, epsilon).alpha
+            return alpha_test(epsilon)
         return reparam_alpha_train(delta, epsilon, rng).alpha
 
     return alpha_for

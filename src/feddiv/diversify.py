@@ -8,7 +8,7 @@ vectors are redrawn per iteration, one per BN layer, one weight per channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,6 @@ class SamplingDistribution:
 
 
 @dataclass
-class MixContext:
-    """Per-BN-layer channel interpolation vectors for one iteration."""
-
-    u_vectors: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
 class LossWeights:
     lambda1: float
     lambda2: float
@@ -59,12 +52,12 @@ class LossWeights:
 
 
 def sample_mix_context(net: SmallConvNet, distribution: SamplingDistribution,
-                       rng: np.random.Generator) -> MixContext:
-    """Draw a fresh interpolation vector per BN layer."""
-    return MixContext([distribution.draw(bn.channels, rng) for bn in net.bn_layers()])
+                       rng: np.random.Generator) -> list[np.ndarray]:
+    """Draw a fresh interpolation vector per BN layer, in network order."""
+    return [distribution.draw(bn.channels, rng) for bn in net.bn_layers()]
 
 
-def local_loss(net: SmallConvNet, batch: Tensor, labels: np.ndarray, ctx: MixContext,
+def local_loss(net: SmallConvNet, batch: Tensor, labels: np.ndarray, ctx: list[np.ndarray],
                weights: LossWeights, stop_gradient_features: bool = False):
     """Total local objective and its components.
 

@@ -63,40 +63,38 @@ def aggregated_keys(keys, strategy: str) -> list[str]:
     return out
 
 
+def _slots(net: SmallConvNet, adapters: list[InstanceAdapter] | None) -> dict:
+    """Every named array of the model as its (owner, attribute name)."""
+    slots = {k: (p, "data") for k, p in net.parameters().items()}
+    for i, bn in enumerate(net.bn_layers()):
+        slots[f"block{i}.bn.local_mean"] = (bn, "local_mean")
+        slots[f"block{i}.bn.local_var"] = (bn, "local_var")
+    if adapters:
+        slots.update((k, (p, "data")) for k, p in adapter_parameters(adapters).items())
+    return slots
+
+
 def extract_bundle(net: SmallConvNet, adapters: list[InstanceAdapter] | None,
                    keys=None) -> dict:
     """Snapshot arrays (parameters, BN stats, adapter weights) by name.
 
     ``keys`` restricts which; by default every array is copied.
     """
-    arrays = {name: p.data for name, p in net.parameters().items()}
-    arrays.update(net.bn_stats())
-    if adapters:
-        arrays.update({name: p.data for name, p in adapter_parameters(adapters).items()})
-    return {k: arrays[k].copy() for k in (arrays if keys is None else keys)}
+    slots = _slots(net, adapters)
+    return {k: getattr(*slots[k]).copy() for k in (slots if keys is None else keys)}
 
 
-def load_bundle(net: SmallConvNet, adapters: list[InstanceAdapter] | None, bundle: dict,
-                keys=None):
-    """Write bundle arrays into the live objects; ``keys`` restricts which."""
-    params = dict(net.parameters())
-    if adapters:
-        params.update(adapter_parameters(adapters))
-    stats = {}
-    for k in bundle if keys is None else keys:
-        if k in params:
-            if params[k].data.shape != bundle[k].shape:
-                raise ProtocolError(f"shape mismatch for {k}: "
-                                    f"{params[k].data.shape} vs {bundle[k].shape}")
-            params[k].data = bundle[k].copy()
-        elif is_bn_stat(k):
-            stats[k] = bundle[k]
-        else:
+def load_bundle(net: SmallConvNet, adapters: list[InstanceAdapter] | None, bundle: dict):
+    """Write bundle arrays into the live objects; each must match its array's shape."""
+    slots = _slots(net, adapters)
+    for k, a in bundle.items():
+        if k not in slots:
             raise ProtocolError(f"bundle key {k!r} does not exist in the model")
-    if stats:
-        full = dict(net.bn_stats())
-        full.update(stats)
-        net.set_local_stats(full)
+        owner, attr = slots[k]
+        shape = getattr(owner, attr).shape
+        if shape != a.shape:
+            raise ProtocolError(f"shape mismatch for {k}: {shape} vs {a.shape}")
+        setattr(owner, attr, np.array(a, dtype=np.float64))
 
 
 def aggregate(bundles: list[dict], n_list: list[int], strategy: str) -> dict:
@@ -124,8 +122,7 @@ def aggregate(bundles: list[dict], n_list: list[int], strategy: str) -> dict:
 
 
 def synthesize_global_stats(bn_stats_list: list[list[tuple[np.ndarray, np.ndarray]]],
-                            n_list: list[int],
-                            method: str = "total_variance"
+                            n_list: list[int], method: str
                             ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pool per-client BN statistics into global (mean, variance) per layer.
 
@@ -157,7 +154,9 @@ def synthesize_global_stats(bn_stats_list: list[list[tuple[np.ndarray, np.ndarra
     return out
 
 
-def bundle_layer_stats(bundle: dict, n_layers: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def bundle_layer_stats(bundle: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each BN layer's (local_mean, local_var), in block order."""
+    n_layers = sum(k.endswith(".bn.local_mean") for k in bundle)
     return [(bundle[f"block{i}.bn.local_mean"], bundle[f"block{i}.bn.local_var"])
             for i in range(n_layers)]
 
@@ -234,6 +233,11 @@ class TrainConfig:
             raise ConfigError(f"adapter_lr must be positive, got {self.adapter_lr}")
         if not self.prox_mu >= 0:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.adapter_warmup_rounds < 0:
+            raise ConfigError(
+                f"adapter_warmup_rounds must be >= 0, got {self.adapter_warmup_rounds}")
 
 
 class ClientState:
@@ -283,11 +287,9 @@ class ClientState:
 class ServerState:
     """Global bundle, synthesized statistics, best snapshot (round -1: the start)."""
 
-    def __init__(self, bundle: dict, n_layers: int, seed: int):
+    def __init__(self, bundle: dict, seed: int):
         self.bundle = bundle
-        self.n_layers = n_layers
-        self.global_stats = [(m.copy(), v.copy())
-                             for m, v in bundle_layer_stats(bundle, n_layers)]
+        self.global_stats = [(m.copy(), v.copy()) for m, v in bundle_layer_stats(bundle)]
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 9137]))
         self.keep_best(-1, -np.inf)
 
@@ -471,7 +473,7 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
         agg = aggregate(uploads, n_list, cfg.strategy)
         server.bundle.update(agg)
         server.global_stats = synthesize_global_stats(
-            [bundle_layer_stats(b, server.n_layers) for b in uploads], n_list,
+            [bundle_layer_stats(b) for b in uploads], n_list,
             cfg.stat_aggregation)
 
         load_bundle(net, adapters, server.bundle)

@@ -51,7 +51,7 @@ def run_seed(cfg: dict, seed: int) -> dict:
     net = SmallConvNet(m["in_channels"], tuple(m["widths"]), b["classes"], seed=seed)
     adapters = (make_adapters(net, cfg["adapter"]["hidden_dim"], seed=seed)
                 if cfg["adapter"]["enabled"] else None)
-    server = ServerState(extract_bundle(net, adapters), n_layers=len(m["widths"]), seed=seed)
+    server = ServerState(extract_bundle(net, adapters), seed)
     clients = [ClientState(i, entry["train"], entry["val"], net, adapters, seed)
                for i, entry in enumerate(bench.train_clients)]
 

@@ -53,10 +53,11 @@ def instance_stats(x: np.ndarray, eps: float = EPS) -> tuple[np.ndarray, np.ndar
 class DualBNLayer:
     """Batch normalization with separate local running and global buffers."""
 
-    def __init__(self, channels: int, momentum: float = BN_MOMENTUM, eps: float = EPS):
+    momentum = BN_MOMENTUM
+    eps = EPS
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.local_mean = np.zeros(channels)
@@ -106,14 +107,15 @@ class DualBNLayer:
 
 
 class Conv2dLayer:
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, pad: int,
-                 rng: np.random.Generator):
-        fan_in = in_ch * kernel * kernel
-        std = np.sqrt(2.0 / fan_in)
-        self.weight = Tensor(rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel)),
+    """3x3 convolution at stride 2 with one pixel of zero padding."""
+
+    stride = 2
+    pad = 1
+
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
+        std = np.sqrt(2.0 / (in_ch * 9))
+        self.weight = Tensor(rng.normal(0.0, std, size=(out_ch, in_ch, 3, 3)),
                              requires_grad=True)
-        self.stride = stride
-        self.pad = pad
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, stride=self.stride, pad=self.pad)
@@ -142,7 +144,7 @@ class SmallConvNet:
         self.blocks: list[tuple[Conv2dLayer, DualBNLayer]] = []
         prev = in_channels
         for w in widths:
-            conv = Conv2dLayer(prev, w, kernel=3, stride=2, pad=1, rng=rng)
+            conv = Conv2dLayer(prev, w, rng)
             self.blocks.append((conv, DualBNLayer(w)))
             prev = w
         self.classifier = Linear(prev, num_classes, rng)
@@ -169,11 +171,6 @@ class SmallConvNet:
             stats[f"block{i}.bn.local_var"] = bn.local_var
         return stats
 
-    def set_local_stats(self, stats: dict[str, np.ndarray]):
-        for i, (_, bn) in enumerate(self.blocks):
-            bn.local_mean = np.array(stats[f"block{i}.bn.local_mean"], dtype=np.float64)
-            bn.local_var = np.array(stats[f"block{i}.bn.local_var"], dtype=np.float64)
-
     def set_global_stats(self, stats_per_layer: list[tuple[np.ndarray, np.ndarray]]):
         bns = self.bn_layers()
         if len(stats_per_layer) != len(bns):
@@ -186,8 +183,8 @@ class SmallConvNet:
     def forward(self, x: Tensor, mode: BNMode, mode_context=None) -> tuple[Tensor, Tensor]:
         """Run all layers; returns (pooled features, logits).
 
-        ``mode_context`` supplies whatever the BN mode needs: the per-layer
-        mix vectors for MIXED_DIVERSIFY, or a callable
+        ``mode_context`` supplies whatever the BN mode needs: the list of
+        per-layer mix vectors for MIXED_DIVERSIFY, or a callable
         ``alpha_for(layer_index, x) -> Tensor`` of shape (N, 1) for
         INTERPOLATED_ADAPTER.
         """
@@ -208,13 +205,13 @@ class SmallConvNet:
         if mode is BNMode.EVAL_GLOBAL:
             return lambda i, h: _GLOBAL_ONLY
         if mode_context is None:
-            raise ConfigError(f"{mode} needs a MixContext or an alpha provider")
+            raise ConfigError(f"{mode} needs mix vectors or an alpha provider")
         if mode is BNMode.INTERPOLATED_ADAPTER:
             return lambda i, h: T.reshape(mode_context(i, h), (h.shape[0], 1, 1, 1))
         if mode is not BNMode.MIXED_DIVERSIFY:
             raise ConfigError(f"unknown BN mode {mode}")
         weights = []
-        for bn, u in zip(self.bn_layers(), mode_context.u_vectors):
+        for bn, u in zip(self.bn_layers(), mode_context):
             u = np.asarray(u, dtype=np.float64)
             if u.shape != (bn.channels,):
                 raise ConfigError(f"mix vector shape {u.shape} != ({bn.channels},)")

@@ -314,6 +314,12 @@ def _col2im_index(n, c, hp, wp, kh, kw, ho, wo, stride) -> np.ndarray:
     its kernel taps in the same order as a loop over (kh, kw) with strided
     ``+=`` would, and col2im stays bit-for-bit equal to that loop. The
     cache is keyed by shape and bounded.
+
+    Timed with one BLAS thread, ``np.bincount`` over this index against the
+    9-tap loop: 42 against 89 us at batch 16, 8 channels, 8x8; 25 against
+    77 us at batch 16, 16 channels, 4x4; but 452 against 335 us at batch 64,
+    16 channels, 8x8. The loop would cost the benchmark's batch-16 workloads
+    more than it saves its batch-64 one; a choice by shape could serve both.
     """
     ci = np.arange(c).reshape(c, 1, 1, 1, 1, 1)
     ki = np.arange(kh).reshape(1, kh, 1, 1, 1, 1)

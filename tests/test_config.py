@@ -113,6 +113,10 @@ class TestLoadConfig:
         (['federation.strategy="fedprox"', "federation.prox_mu=-0.5"], "prox_mu"),
         (["adapter.fixed_value=1.5"], "fixed_value"),
         (["adapter.fixed_value=-0.1"], "fixed_value"),
+        (["adapter.warmup_rounds=-3"], "adapter_warmup_rounds"),
+        (["federation.momentum=-2"], "momentum"),
+        (["federation.momentum=1.5"], "momentum"),
+        (["federation.momentum=1.0"], "momentum"),
     ])
     def test_out_of_range_rejected_at_load(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -129,9 +133,10 @@ class TestLoadConfig:
         assert "config error:" in capsys.readouterr().err
 
     # Each would otherwise crash in data generation, name files after a bool,
-    # build a width-1 network, or run one seed twice over its own files.
+    # build a width-1 network, run one seed twice over its own files, or let
+    # the SGD velocity grow instead of decay.
     @pytest.mark.parametrize("override", ["seeds=[-1]", "seeds=[true]", "seeds=[0,0]",
-                                          "model.widths=[true]"])
+                                          "model.widths=[true]", "federation.momentum=1.5"])
     def test_unusable_seeds_and_widths_exit_two_from_cli(self, tmp_path, capsys, override):
         args = ["run", "--out", str(tmp_path), "--set", "federation.rounds=0", "--set",
                 override]

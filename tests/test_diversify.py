@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
-from feddiv.diversify import (LossWeights, MixContext, SamplingDistribution, local_loss,
-                              sample_mix_context)
+from feddiv.diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
 from feddiv.errors import ConfigError, UninitializedStatisticsError
+from feddiv.federation import load_bundle
 from feddiv.layers import BNMode, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
 
@@ -26,15 +26,15 @@ class TestSamplingDistribution:
         net = make_net()
         ctx = sample_mix_context(net, SamplingDistribution("fixed", 0.0, 1.0, 0.5),
                                  np.random.default_rng(0))
-        assert all(np.all(u == 0.5) for u in ctx.u_vectors)
-        assert [len(u) for u in ctx.u_vectors] == [4, 8]
+        assert all(np.all(u == 0.5) for u in ctx)
+        assert [len(u) for u in ctx] == [4, 8]
 
     def test_uniform_deterministic_per_seed(self):
         net = make_net()
         dist = SamplingDistribution("uniform", 0.0, 1.0, 0.5)
         a = sample_mix_context(net, dist, np.random.default_rng(42))
         b = sample_mix_context(net, dist, np.random.default_rng(42))
-        for ua, ub in zip(a.u_vectors, b.u_vectors):
+        for ua, ub in zip(a, b):
             assert np.array_equal(ua, ub)
 
     def test_fresh_vectors_each_call(self):
@@ -43,13 +43,13 @@ class TestSamplingDistribution:
         dist = SamplingDistribution("uniform", 0.0, 1.0, 0.5)
         a = sample_mix_context(net, dist, rng)
         b = sample_mix_context(net, dist, rng)
-        assert not np.array_equal(a.u_vectors[0], b.u_vectors[0])
+        assert not np.array_equal(a[0], b[0])
 
     def test_extrapolating_uniform_leaves_unit_interval(self):
         net = make_net(widths=(64,))
         ctx = sample_mix_context(net, SamplingDistribution("uniform", -0.1, 1.1, 0.5),
                                  np.random.default_rng(2))
-        u = ctx.u_vectors[0]
+        u = ctx[0]
         assert u.min() < 0.0 or u.max() > 1.0
 
     def test_invalid_kind_rejected(self):
@@ -163,7 +163,7 @@ class TestDiversifiedForward:
         f_div, logits_div = net.forward(Tensor(x), BNMode.MIXED_DIVERSIFY, ctx)
 
         h = x
-        for (conv, bn), u in zip(net.blocks, ctx.u_vectors):
+        for (conv, bn), u in zip(net.blocks, ctx):
             hw = T.conv2d(Tensor(h), Tensor(conv.weight.data), conv.stride, conv.pad).data
             mu_i, sigma_i = instance_stats(hw, bn.eps)
             mu_g = bn.global_mean
@@ -244,7 +244,7 @@ class TestLocalLoss:
         saved = {k: v.copy() for k, v in net.bn_stats().items()}
 
         def loss():
-            net.set_local_stats(saved)
+            load_bundle(net, None, saved)
             total, _ = local_loss(net, x, labels, ctx, LossWeights(0.1, 4.0))
             return total
 

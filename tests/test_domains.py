@@ -237,11 +237,16 @@ class TestPartition:
             partition(ds, PartitionSpec("dirichlet", alpha=0.01, n_clients=5), seed=0)
 
 
+# One client per domain.
+ONE_CLIENT = PartitionSpec("iid", 0.5, 1)
+
+
 class TestBuildBenchmark:
     def test_leave_one_out_exclusivity(self):
         specs = default_domain_specs(4)
         bench = build_benchmark(specs, held_out=3, samples_per_client=50, classes=5,
-                                size=16, seed=0, val_fraction=0.2, test_samples=500)
+                                size=16, seed=0, val_fraction=0.2, test_samples=500,
+                                partition_spec=ONE_CLIENT)
         assert len(bench.train_clients) == 3
         assert {c["domain_id"] for c in bench.train_clients} == {0, 1, 2}
         assert bench.held_out_domain == 3
@@ -249,7 +254,8 @@ class TestBuildBenchmark:
     def test_train_val_disjoint(self):
         specs = default_domain_specs(4)
         bench = build_benchmark(specs, held_out=0, samples_per_client=50, classes=5,
-                                size=16, seed=1, val_fraction=0.2, test_samples=500)
+                                size=16, seed=1, val_fraction=0.2, test_samples=500,
+                                partition_spec=ONE_CLIENT)
         for c in bench.train_clients:
             n_total = len(c["train"]) + len(c["val"])
             assert n_total == 50
@@ -260,8 +266,10 @@ class TestBuildBenchmark:
 
     def test_bitwise_stable_regeneration(self):
         specs = default_domain_specs(4)
-        a = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500)
-        b = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500)
+        a = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
+                            partition_spec=ONE_CLIENT)
+        b = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
+                            partition_spec=ONE_CLIENT)
         assert np.array_equal(a.test_set.images, b.test_set.images)
         for ca, cb in zip(a.train_clients, b.train_clients):
             assert np.array_equal(ca["train"].images, cb["train"].images)
@@ -270,5 +278,5 @@ class TestBuildBenchmark:
     def test_too_few_domains(self):
         with pytest.raises(InputError):
             build_benchmark(default_domain_specs(4)[:1], 0, 40, 5, 16, seed=0, val_fraction=0.2,
-                            test_samples=500)
+                            test_samples=500, partition_spec=ONE_CLIENT)
 

@@ -102,18 +102,57 @@ class TestAggregate:
         assert all(k in fedbn for k in keys if k.startswith("adapter."))
 
 
+class TestLoadBundle:
+    @pytest.mark.parametrize("key,shape", [("block0.bn.local_mean", (7,)),
+                                           ("block1.bn.local_var", (2, 2))])
+    def test_bn_statistics_of_the_wrong_shape_rejected(self, key, shape):
+        net = SmallConvNet(3, (4, 4), 3, seed=0)
+        with pytest.raises(ProtocolError, match=f"shape mismatch for {key}"):
+            load_bundle(net, None, {key: np.ones(shape)})
+
+    def test_parameter_of_the_wrong_shape_rejected(self):
+        net = SmallConvNet(seed=0, **MODEL)
+        with pytest.raises(ProtocolError, match="shape mismatch for classifier.b"):
+            load_bundle(net, None, {"classifier.b": np.ones(4)})
+
+    @pytest.mark.parametrize("key", ["block1.bn.local_mean", "adapter.0.fc1.w", "head.w"])
+    def test_unknown_key_rejected(self, key):
+        net = SmallConvNet(seed=0, **MODEL)
+        with pytest.raises(ProtocolError, match="does not exist"):
+            load_bundle(net, None, {key: np.ones(4)})
+
+
+class TestLayerStats:
+    @pytest.mark.parametrize("widths", [(4,), (4, 6), (4, 6, 8)])
+    def test_layer_count_comes_from_the_bundle(self, widths):
+        net = SmallConvNet(3, widths, 3, seed=2)
+        rng = np.random.default_rng(2)
+        for bn in net.bn_layers():
+            bn.local_mean = rng.uniform(-1, 1, bn.channels)
+            bn.local_var = rng.uniform(0.5, 2, bn.channels)
+        bundle = extract_bundle(net, make_adapters(net, 8, seed=2))
+        want = [(bn.local_mean, bn.local_var) for bn in net.bn_layers()]
+        # key order does not set the layer order
+        for stats in (bundle_layer_stats(bundle),
+                      bundle_layer_stats(dict(reversed(bundle.items()))),
+                      ServerState(bundle, seed=0).global_stats):
+            assert len(stats) == len(widths)
+            for (m, v), (m0, v0) in zip(stats, want, strict=True):
+                assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
+
+
 class TestSynthesizeGlobalStats:
     def test_identical_clients(self):
         rng = np.random.default_rng(0)
         stats = [(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))]
-        out = synthesize_global_stats([stats, stats], [5, 5])
+        out = synthesize_global_stats([stats, stats], [5, 5], "total_variance")
         assert np.allclose(out[0][0], stats[0][0], atol=1e-12)
         assert np.allclose(out[0][1], stats[0][1], atol=1e-12)
 
     def test_total_variance_arithmetic(self):
         s0 = [(np.array([0.0]), np.array([0.0]))]
         s1 = [(np.array([2.0]), np.array([0.0]))]
-        out = synthesize_global_stats([s0, s1], [1, 1])
+        out = synthesize_global_stats([s0, s1], [1, 1], "total_variance")
         assert np.allclose(out[0][0], [1.0])
         assert np.allclose(out[0][1], [1.0])
 
@@ -123,7 +162,7 @@ class TestSynthesizeGlobalStats:
                             size=(rng.integers(50, 150), 3)) for _ in range(3)]
         stats = [[(p.mean(axis=0), p.var(axis=0))] for p in pools]
         n_list = [len(p) for p in pools]
-        out = synthesize_global_stats(stats, n_list)
+        out = synthesize_global_stats(stats, n_list, "total_variance")
         union = np.concatenate(pools)
         assert np.abs(out[0][0] - union.mean(axis=0)).max() < 1e-6
         assert np.abs(out[0][1] - union.var(axis=0)).max() < 1e-6
@@ -131,7 +170,7 @@ class TestSynthesizeGlobalStats:
     def test_mean_method(self):
         s0 = [(np.array([0.0]), np.array([2.0]))]
         s1 = [(np.array([4.0]), np.array([4.0]))]
-        out = synthesize_global_stats([s0, s1], [1, 3], method="mean")
+        out = synthesize_global_stats([s0, s1], [1, 3], "mean")
         assert np.allclose(out[0][1], [3.5])
 
     def test_weights_sum_to_one(self):
@@ -251,7 +290,7 @@ class TestLocalUpdate:
         server_bundle = random_bundle(9)
         cfg = default_cfg(strategy="silobn", diversify=False)
         keys = aggregated_keys(server_bundle.keys(), "silobn")
-        load_bundle(client.net, client.adapters, server_bundle, keys)
+        load_bundle(client.net, client.adapters, {k: server_bundle[k] for k in keys})
         assert np.array_equal(client.net.blocks[0][1].local_mean, np.full(4, 3.14))
         # but affine was overwritten
         assert np.array_equal(client.net.blocks[0][1].gamma.data,
@@ -297,7 +336,7 @@ class TestLocalUpdate:
         client.net.blocks[0][1].local_var = np.full(4, 1.61)
         server_bundle = random_bundle(10)
         keys = aggregated_keys(server_bundle.keys(), "fedbn")
-        load_bundle(client.net, client.adapters, server_bundle, keys)
+        load_bundle(client.net, client.adapters, {k: server_bundle[k] for k in keys})
         assert np.array_equal(client.net.blocks[0][1].gamma.data, np.full(4, 2.71))
         assert np.array_equal(client.net.blocks[0][1].local_var, np.full(4, 1.61))
         assert np.array_equal(client.net.classifier.weight.data, server_bundle["classifier.w"])
@@ -426,7 +465,7 @@ def build_federation(seed=0, n_clients=3, rounds=2, iterations=4):
     clients = [tiny_client(i, seed=seed) for i in range(n_clients)]
     template = SmallConvNet(seed=seed, **MODEL)
     template_adapters = make_adapters(template, 8, seed=seed)
-    server = ServerState(extract_bundle(template, template_adapters), n_layers=1, seed=seed)
+    server = ServerState(extract_bundle(template, template_adapters), seed=seed)
     plan = default_plan(iterations, rounds)
     cfg = default_cfg()
     return clients, server, plan, cfg, template, template_adapters
@@ -447,7 +486,7 @@ class TestRunFederation:
             c.client_id = i
         template = SmallConvNet(seed=3, **MODEL)
         ad = make_adapters(template, 8, seed=3)
-        server = ServerState(extract_bundle(template, ad), 1, seed=3)
+        server = ServerState(extract_bundle(template, ad), seed=3)
         _, _, ledger = run_federation(clients, server, default_plan(), default_cfg())
         accs = [r["accuracy"] for r in ledger if r["split"] == "server_val"]
         assert accs[0] == accs[1]
@@ -469,7 +508,7 @@ class TestRunFederation:
         assert list(best) == list(start)
         for k in start:
             assert best[k].tobytes() == start[k].tobytes(), k
-        for (m, v), (m0, v0) in zip(stats, bundle_layer_stats(start, 1), strict=True):
+        for (m, v), (m0, v0) in zip(stats, bundle_layer_stats(start), strict=True):
             assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
 
     def test_client_list_order_changes_nothing(self):
@@ -489,7 +528,7 @@ class TestRunFederation:
 
     def test_empty_client_list_rejected(self):
         template = SmallConvNet(seed=0, **MODEL)
-        server = ServerState(extract_bundle(template, None), 1, seed=0)
+        server = ServerState(extract_bundle(template, None), seed=0)
         with pytest.raises(ProtocolError):
             run_federation([], server, default_plan(), default_cfg())
 

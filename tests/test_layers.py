@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
-from feddiv.diversify import MixContext
 from feddiv.errors import ConfigError, InputError, UninitializedStatisticsError
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
@@ -338,7 +337,7 @@ class TestSmallConvNetForward:
         net = self.make_net()
         x = Tensor(np.zeros((2, 3, 16, 16)))
         with pytest.raises(ConfigError, match="mix vector shape"):
-            net.forward(x, BNMode.MIXED_DIVERSIFY, MixContext([np.zeros(4), np.zeros(4)]))
+            net.forward(x, BNMode.MIXED_DIVERSIFY, [np.zeros(4), np.zeros(4)])
 
     def test_blend_modes_are_one_weight_per_layer(self):
         # Each blend mode equals forward_blend at its weight, block by block.
@@ -349,7 +348,7 @@ class TestSmallConvNetForward:
         alphas = [rng.uniform(0, 1, (3, 1)) for _ in net.bn_layers()]
         cases = [
             (BNMode.EVAL_GLOBAL, None, [np.zeros(())] * 2),
-            (BNMode.MIXED_DIVERSIFY, MixContext(u), [v.reshape(1, -1, 1, 1) for v in u]),
+            (BNMode.MIXED_DIVERSIFY, u, [v.reshape(1, -1, 1, 1) for v in u]),
             (BNMode.INTERPOLATED_ADAPTER, lambda i, h: Tensor(alphas[i]),
              [a.reshape(3, 1, 1, 1) for a in alphas]),
         ]

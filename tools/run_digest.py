@@ -18,10 +18,6 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-
-from feddiv import harness  # noqa: E402
-from workloads import WORKLOADS, workload_config  # noqa: E402
 
 
 def _add_array(h, name: str, a):
@@ -44,6 +40,11 @@ def run_digest(result: dict) -> str:
 
 
 def main(argv=None):
+    # Importing this module leaves sys.path alone; only a run needs the checkout.
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    from feddiv import harness
+    from workloads import WORKLOADS, workload_config
+
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 5])
     p.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
