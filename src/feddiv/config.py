@@ -208,7 +208,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
                 raw = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("top-level config must be a JSON object")

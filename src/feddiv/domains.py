@@ -97,6 +97,10 @@ def generate_base(n: int, classes: int, size: int = 16, seed: int = 0,
     integers (centre x, centre y, radius) and a ``size x size`` block of
     pixel noise. Only those draws run per image; each shape kind is then
     painted for all its images at once.
+
+    The channels are one grey canvas: ``images`` is a read-only
+    ``(n, channels, size, size)`` view of one ``(n, size, size)`` array, with
+    channel stride 0. ``apply_domain`` reads it into a new array.
     """
     # Five shape kinds: a sixth class would draw the first class's images.
     if not 2 <= classes <= 5:
@@ -125,9 +129,7 @@ def generate_base(n: int, classes: int, size: int = 16, seed: int = 0,
     canvas = np.where(mask, 0.85, 0.15)
     canvas += noise
     np.clip(canvas, 0.0, 1.0, out=canvas)
-    images = np.empty((n, channels, size, size))
-    images[:] = canvas[:, None]
-    return Dataset(images, labels)
+    return Dataset(np.broadcast_to(canvas[:, None], (n, channels, size, size)), labels)
 
 
 def apply_domain(dataset: Dataset, spec: DomainSpec) -> Dataset:
@@ -150,24 +152,27 @@ def apply_domain(dataset: Dataset, spec: DomainSpec) -> Dataset:
         phases = rng.uniform(0, 2 * np.pi, size=(n, 2))
         wave = np.sin(2 * np.pi * spec.texture_freq * ys / h + phases[:, 0, None, None]) \
             * np.sin(2 * np.pi * spec.texture_freq * xs / w + phases[:, 1, None, None])
-        out += spec.texture_amp * wave[:, None, :, :]
+        wave *= spec.texture_amp
+        out += wave[:, None]
     np.clip(out, 0.0, 1.0, out=out)
     return Dataset(out, dataset.labels.copy())
 
 
-def partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]:
-    """Split a dataset across clients, IID or Dirichlet-skewed by label."""
-    n = len(dataset)
+def _split_indices(labels: np.ndarray, spec: PartitionSpec, seed: int) -> list[np.ndarray]:
+    """Each client's sample indices, sorted: IID or Dirichlet-skewed by label."""
+    n = len(labels)
     if n < spec.n_clients:
         raise InputError(f"cannot split {n} samples across {spec.n_clients} clients")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 733]))
-    classes = np.unique(dataset.labels)
+    # Not np.unique: it imports numpy.ma, about 1 MB of resident modules
+    # that nothing else in a run loads.
+    classes = sorted(set(labels.tolist()))
     client_indices: list[list[int]] = [[] for _ in range(spec.n_clients)]
 
     if spec.mode == "iid":
         # stratified round-robin: per-client class histograms match within 1
         for offset, cls in enumerate(classes):
-            idx = rng.permutation(np.flatnonzero(dataset.labels == cls))
+            idx = rng.permutation(np.flatnonzero(labels == cls))
             for i, sample in enumerate(idx):
                 client_indices[(i + offset) % spec.n_clients].append(int(sample))
     else:
@@ -176,7 +181,7 @@ def partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]
         for _ in range(100):
             client_indices = [[] for _ in range(spec.n_clients)]
             for cls in classes:
-                idx = rng.permutation(np.flatnonzero(dataset.labels == cls))
+                idx = rng.permutation(np.flatnonzero(labels == cls))
                 props = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
                 cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
                 for j, chunk in enumerate(np.split(idx, cuts)):
@@ -186,12 +191,12 @@ def partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]
         else:
             raise InputError(f"no Dirichlet split (alpha={spec.alpha}) in 100 draws gives "
                              f"each of {spec.n_clients} clients 2 of {n} samples")
+    return [np.sort(np.asarray(idx, dtype=np.int64)) for idx in client_indices]
 
-    out = []
-    for idx in client_indices:
-        idx = np.sort(np.asarray(idx, dtype=np.int64))
-        out.append(dataset.subset(idx))
-    return out
+
+def partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]:
+    """Split a dataset across clients, IID or Dirichlet-skewed by label."""
+    return [dataset.subset(idx) for idx in _split_indices(dataset.labels, spec, seed)]
 
 
 DEFAULT_DOMAIN_SPECS = [
@@ -220,43 +225,35 @@ def build_benchmark(domain_specs: list[DomainSpec], held_out: int, samples_per_c
                     test_samples: int, partition_spec: PartitionSpec) -> Benchmark:
     """Generate the full leave-one-domain-out benchmark deterministically.
 
-    ``partition_spec`` splits each domain across its clients.
+    ``partition_spec`` splits each domain across its clients. The held-out
+    set is built first, while nothing else is resident, and every client's
+    train and val arrays are copied once, straight from its shifted domain.
+    Each draw has its own seed, so the order changes no bit.
     """
     if len(domain_specs) < 2:
         raise InputError("need at least 2 domains for leave-one-domain-out")
     if not any(s.domain_id == held_out for s in domain_specs):
         raise InputError(f"held-out domain {held_out} not among specs")
 
-    clients_per_domain = partition_spec.n_clients
+    test_spec = next(s for s in domain_specs if s.domain_id == held_out)
+    test_set = apply_domain(generate_base(test_samples, classes, size, seed=seed * 1000 + 777),
+                            test_spec)
+
     train_clients = []
     for spec in domain_specs:
         if spec.domain_id == held_out:
             continue
-        total = samples_per_client * clients_per_domain
-        base = generate_base(total, classes, size, seed=seed * 1000 + spec.domain_id)
-        shifted = apply_domain(base, spec)
-        if clients_per_domain == 1:
-            # The whole domain is the client. partition() would return the
-            # same samples in the same order, but as a copy: on the
-            # benchmark's fedfd_a-small workload that raised peak RSS from
-            # 71 MB to 76 MB (+7%).
-            parts = [shifted]
-        else:
-            parts = partition(shifted, partition_spec, seed=seed * 1000 + spec.domain_id)
-        for part in parts:
-            n_part_val = max(1, int(round(len(part) * val_fraction)))
+        domain_seed = seed * 1000 + spec.domain_id
+        total = samples_per_client * partition_spec.n_clients
+        shifted = apply_domain(generate_base(total, classes, size, seed=domain_seed), spec)
+        for idx in _split_indices(shifted.labels, partition_spec, seed=domain_seed):
+            n_val = max(1, int(round(len(idx) * val_fraction)))
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, spec.domain_id, len(train_clients), 271]))
-            perm = rng.permutation(len(part))
-            val_idx, train_idx = perm[:n_part_val], perm[n_part_val:]
+            perm = rng.permutation(len(idx))
             train_clients.append({
                 "domain_id": spec.domain_id,
-                "train": part.subset(np.sort(train_idx)),
-                "val": part.subset(np.sort(val_idx)),
+                "train": shifted.subset(idx[np.sort(perm[n_val:])]),
+                "val": shifted.subset(idx[np.sort(perm[:n_val])]),
             })
-
-    test_spec = next(s for s in domain_specs if s.domain_id == held_out)
-    test_base = generate_base(test_samples, classes, size, seed=seed * 1000 + 777)
-    test_set = apply_domain(test_base, test_spec)
     return Benchmark(train_clients, test_set, held_out)
-

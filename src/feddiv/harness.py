@@ -14,7 +14,7 @@ from . import checkpoint as ckpt
 from .adapter import make_adapters
 from .config import benchmark_hash, config_hash, run_spec
 from .domains import DEFAULT_DOMAIN_SPECS, DomainSpec, build_benchmark
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .federation import (ClientState, ServerState, evaluate_net, extract_bundle, load_bundle,
                          run_federation)
 from .layers import SmallConvNet
@@ -137,12 +137,25 @@ def format_cell(mean: float, std: float) -> str:
     return f"{100 * mean:.2f} ({100 * std:.2f})"
 
 
+def _read_report(path: str) -> dict:
+    """A report.json's contents; InputError unless it has what the table reads."""
+    try:
+        with open(path) as f:
+            rep = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise InputError(f"report {path} is not valid JSON: {e}")
+    summary = rep.get("summary") if isinstance(rep, dict) else None
+    if not (isinstance(summary, dict) and "benchmark_hash" in rep and "eval_global" in summary
+            and all(isinstance(s, dict) and {"mean", "std"} <= s.keys()
+                    for s in summary.values())):
+        raise InputError(f"report {path} needs a benchmark_hash and a summary of "
+                         f"mean and std per mode, eval_global included")
+    return rep
+
+
 def compare_reports(report_paths: list[str]) -> str:
     """Side-by-side accuracy table; refuses reports from different benchmarks."""
-    reports = []
-    for path in report_paths:
-        with open(path) as f:
-            reports.append((path, json.load(f)))
+    reports = [(path, _read_report(path)) for path in report_paths]
     base_hash = reports[0][1]["benchmark_hash"]
     for path, rep in reports[1:]:
         if rep["benchmark_hash"] != base_hash:

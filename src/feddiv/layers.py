@@ -210,8 +210,12 @@ class SmallConvNet:
             return lambda i, h: T.reshape(mode_context(i, h), (h.shape[0], 1, 1, 1))
         if mode is not BNMode.MIXED_DIVERSIFY:
             raise ConfigError(f"unknown BN mode {mode}")
+        bns = self.bn_layers()
+        if len(mode_context) != len(bns):
+            raise ConfigError(f"expected {len(bns)} mix vectors, one per BN layer, "
+                              f"got {len(mode_context)}")
         weights = []
-        for bn, u in zip(self.bn_layers(), mode_context):
+        for bn, u in zip(bns, mode_context):
             u = np.asarray(u, dtype=np.float64)
             if u.shape != (bn.channels,):
                 raise ConfigError(f"mix vector shape {u.shape} != ({bn.channels},)")

@@ -89,14 +89,25 @@ class _Built(Exception):
     """Stops ``run_seed`` once its benchmark data exist."""
 
 
-# sha256 of each workload's data at seed 0, recorded from the per-image
-# generator that came before the vectorised one; every benchmark comparison
-# between two revisions assumes both train on these exact bits.
+# sha256 of each workload's data at seeds 0 and 5. The seed-0 digests were
+# recorded from the per-image generator that came before the vectorised one,
+# the seed-5 ones from the generator that built the held-out set last and
+# copied each client's arrays twice; every benchmark comparison between two
+# revisions assumes both train on these exact bits.
 # fedfd_a-small and fedavg-wide keep the default benchmark keys.
 DATA_DIGESTS = {
-    "fedfd_a-small": "8ec9d0cb56a88ba4664e9cef2af1ddcdfb644327bb5e64f8abbb01bcd7e42bc1",
-    "fedavg-wide": "8ec9d0cb56a88ba4664e9cef2af1ddcdfb644327bb5e64f8abbb01bcd7e42bc1",
-    "fedbn-many-clients": "429b56260ee22c3f9d3877489033ebbba1b453a258308a0f48ce69b4ed9665ea",
+    "fedfd_a-small": {
+        0: "8ec9d0cb56a88ba4664e9cef2af1ddcdfb644327bb5e64f8abbb01bcd7e42bc1",
+        5: "49827fbfc969c3009a088287402c6e190ef9a978469178568b533f9d9e58e31a",
+    },
+    "fedavg-wide": {
+        0: "8ec9d0cb56a88ba4664e9cef2af1ddcdfb644327bb5e64f8abbb01bcd7e42bc1",
+        5: "49827fbfc969c3009a088287402c6e190ef9a978469178568b533f9d9e58e31a",
+    },
+    "fedbn-many-clients": {
+        0: "429b56260ee22c3f9d3877489033ebbba1b453a258308a0f48ce69b4ed9665ea",
+        5: "0c09c742f0015b53445b95a627e1babd92ce91701f6cddbe32c102b6ebd90bd4",
+    },
 }
 
 
@@ -116,14 +127,15 @@ def test_workload_data_is_pinned(monkeypatch):
 
     monkeypatch.setattr(harness, "build_benchmark", capture)
     assert set(DATA_DIGESTS) == set(workloads.WORKLOADS)
-    for name, digest in DATA_DIGESTS.items():
-        with pytest.raises(_Built):
-            harness.run_seed(workloads.workload_config(name, 0), 0)
-        bench = built.pop()
-        h = hashlib.sha256()
-        datasets = [c[part] for c in bench.train_clients for part in ("train", "val")]
-        for ds in datasets + [bench.test_set]:
-            for arr in (ds.images, ds.labels):
-                h.update(f"{arr.dtype}{arr.shape}".encode())
-                h.update(arr.tobytes())
-        assert h.hexdigest() == digest, name
+    for name, by_seed in DATA_DIGESTS.items():
+        for seed, digest in by_seed.items():
+            with pytest.raises(_Built):
+                harness.run_seed(workloads.workload_config(name, seed), seed)
+            bench = built.pop()
+            h = hashlib.sha256()
+            datasets = [c[part] for c in bench.train_clients for part in ("train", "val")]
+            for ds in datasets + [bench.test_set]:
+                for arr in (ds.images, ds.labels):
+                    h.update(f"{arr.dtype}{arr.shape}".encode())
+                    h.update(arr.tobytes())
+            assert h.hexdigest() == digest, (name, seed)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,13 @@ class TestGenerateBase:
                     for i in range(5) for j in range(i + 1, 5)]
         assert min(pairwise) > 0  # classes are visually distinct
         assert np.mean(pairwise) > stds.mean() * 0.5
+
+    def test_channels_share_one_read_only_canvas(self):
+        images = generate_base(12, 5, size=8, seed=14, channels=3).images
+        assert images.shape == (12, 3, 8, 8) and images.strides[1] == 0
+        assert not images.flags.writeable
+        with pytest.raises(ValueError):
+            images[0, 0, 0, 0] = 0.5
 
     def test_invalid_params(self):
         with pytest.raises(InputError):
@@ -280,3 +289,40 @@ class TestBuildBenchmark:
             build_benchmark(default_domain_specs(4)[:1], 0, 40, 5, 16, seed=0, val_fraction=0.2,
                             test_samples=500, partition_spec=ONE_CLIENT)
 
+    @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
+    def test_one_client_domain_is_the_whole_shifted_domain(self, mode):
+        # No branch serves one client per domain: the general split must give
+        # every sample of the domain once, in the domain's order.
+        specs = default_domain_specs(3)
+        one = PartitionSpec(mode, 0.5, 1)
+        bench = build_benchmark(specs, 2, 30, 5, 8, seed=4, val_fraction=0.2,
+                                test_samples=5, partition_spec=one)
+        for c, spec in zip(bench.train_clients, specs):
+            shifted = apply_domain(generate_base(30, 5, 8, seed=4000 + spec.domain_id), spec)
+            assert_same_bytes(partition(shifted, one, seed=0)[0], shifted, mode)
+            row = {img.tobytes(): i for i, img in enumerate(shifted.images)}
+            assert len(row) == 30
+            at = {part: [row[img.tobytes()] for img in c[part].images]
+                  for part in ("train", "val")}
+            assert at["train"] == sorted(at["train"]) and at["val"] == sorted(at["val"])
+            assert sorted(at["train"] + at["val"]) == list(range(30))
+            for part in ("train", "val"):
+                assert np.array_equal(c[part].labels, shifted.labels[at[part]])
+
+    def test_peak_memory_stays_near_the_returned_images(self):
+        # The data of the benchmark's fedbn-many-clients workload: 40 Dirichlet
+        # clients and 2,000 held-out images. Each image array is copied once;
+        # a channel copy of the grey canvas, a second copy of each client's
+        # arrays and the held-out set built on top of every client together
+        # push the peak to 2.0x the images returned.
+        spec = PartitionSpec("dirichlet", alpha=0.5, n_clients=8)
+        tracemalloc.start()
+        try:
+            bench = build_benchmark(default_domain_specs(6), 3, 100, 5, 16, seed=0,
+                                    val_fraction=0.2, test_samples=2000, partition_spec=spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = bench.test_set.images.nbytes + sum(
+            c[part].images.nbytes for c in bench.train_clients for part in ("train", "val"))
+        assert peak <= 1.5 * returned, peak / returned

@@ -10,7 +10,7 @@ import pytest
 from feddiv import checkpoint, harness
 from feddiv.cli import main as cli_main
 from feddiv.config import load_config
-from feddiv.errors import ConfigError
+from feddiv.errors import ConfigError, InputError
 from feddiv.harness import (INFERENCE_MODES, _write_ledger, compare_reports, run_experiment,
                             run_seed)
 
@@ -187,6 +187,34 @@ class TestCompareReports:
             compare_reports([os.path.join(out, "report.json"),
                              str(tmp_path / "report.json")])
 
+    def test_report_that_is_not_json_refused(self, tiny_report, tmp_path, capsys):
+        _, out, _ = tiny_report
+        bad = tmp_path / "report.json"
+        bad.write_text("{not json")
+        good = os.path.join(out, "report.json")
+        with pytest.raises(InputError, match="not valid JSON"):
+            compare_reports([good, str(bad)])
+        assert cli_main(["compare", good, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda rep: rep.pop("benchmark_hash"),
+        lambda rep: rep["summary"].pop("eval_global"),
+        lambda rep: rep["summary"]["fixed_alpha"].pop("std"),
+        lambda rep: rep.update(summary=[]),
+    ], ids=["no_benchmark_hash", "no_eval_global", "no_std", "summary_not_object"])
+    def test_report_missing_a_field_refused(self, tiny_report, tmp_path, capsys, edit):
+        _, out, report = tiny_report
+        rep = copy.deepcopy(report)
+        edit(rep)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(rep))
+        good = os.path.join(out, "report.json")
+        with pytest.raises(InputError, match="needs a benchmark_hash"):
+            compare_reports([str(bad), good])
+        assert cli_main(["compare", str(bad), good]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCLI:
     def test_run_success_exit_zero(self, tmp_path, capsys):
@@ -204,6 +232,13 @@ class TestCLI:
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
         assert cli_main(["run", "--config", str(bad)]) == 2
+
+    def test_non_utf8_config_file_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_missing_checkpoint_exit_one(self):
         assert cli_main(["inspect", "--checkpoint", "/nonexistent/ckpt.json"]) == 1

@@ -339,6 +339,13 @@ class TestSmallConvNetForward:
         with pytest.raises(ConfigError, match="mix vector shape"):
             net.forward(x, BNMode.MIXED_DIVERSIFY, [np.zeros(4), np.zeros(4)])
 
+    @pytest.mark.parametrize("widths", [(4,), (4, 8, 8)], ids=["short", "long"])
+    def test_mix_vector_count_checked(self, widths):
+        net = self.make_net()
+        x = Tensor(np.zeros((2, 3, 16, 16)))
+        with pytest.raises(ConfigError, match="one per BN layer"):
+            net.forward(x, BNMode.MIXED_DIVERSIFY, [np.zeros(c) for c in widths])
+
     def test_blend_modes_are_one_weight_per_layer(self):
         # Each blend mode equals forward_blend at its weight, block by block.
         net = self.make_net(seed=4)
