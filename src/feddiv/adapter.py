@@ -4,9 +4,10 @@ One small two-layer MLP per BN layer maps the per-sample difference between
 instance and global statistics to a pair (delta, epsilon). One rule turns
 that pair into the layer's interpolation weight: during training alpha =
 clamp(z*delta + epsilon) with z drawn from N(0,1) (reparameterization); at
-test time alpha = clamp(epsilon), fully deterministic. The ablation
-baselines use no adapter: one (N, n_layers) block of alphas, constant or
-uniform, gives layer i column i.
+test time alpha = clamp(epsilon), fully deterministic. ``learned_alphas``
+hands that rule to ``SmallConvNet.forward`` as the INTERPOLATED_ADAPTER
+alpha provider; ``federation.evaluate_net`` picks it or an ablation
+baseline per held-out inference mode.
 """
 
 from __future__ import annotations
@@ -88,16 +89,12 @@ def reparam_alpha_train(delta: Tensor, epsilon: Tensor, rng: np.random.Generator
     return AlphaSample(alpha=alpha, z=z)
 
 
-def alpha_test(epsilon: Tensor) -> Tensor:
-    """Deterministic test-time weight: alpha = clamp(epsilon, 0, 1)."""
-    return T.clamp(epsilon, 0.0, 1.0)
-
-
-def _learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
-                    rng: np.random.Generator | None):
+def learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
+                   rng: np.random.Generator | None = None):
     """The adapters' per-layer ``alpha_for(i, h)`` for the interpolated forward.
 
-    A reparameterized draw from ``rng``, or ``alpha_test`` when ``rng`` is None.
+    A reparameterized draw from ``rng``; with no ``rng``, the deterministic
+    test-time weight clamp(epsilon, 0, 1).
     """
     bns = net.bn_layers()
 
@@ -107,7 +104,7 @@ def _learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         delta, epsilon = adapters[layer_idx].forward(mu_i, sigma_i, bn.global_mean, sigma_g)
         if rng is None:
-            return alpha_test(epsilon)
+            return T.clamp(epsilon, 0.0, 1.0)
         return reparam_alpha_train(delta, epsilon, rng).alpha
 
     return alpha_for
@@ -122,7 +119,7 @@ def adapter_train_step(net: SmallConvNet, adapters: list[InstanceAdapter], batch
     network's parameters stop requiring grad for the step, so the backward
     pass ends at the alphas and leaves their ``grad`` untouched.
     """
-    provider = _learned_alphas(net, adapters, rng)
+    provider = learned_alphas(net, adapters, rng)
     main_params = list(net.parameters().values())
     saved = [p.requires_grad for p in main_params]
     for p in main_params:
@@ -137,36 +134,3 @@ def adapter_train_step(net: SmallConvNet, adapters: list[InstanceAdapter], batch
             p.requires_grad = flag
     optimizer.step()
     return float(loss.data)
-
-
-def adaptive_inference(net: SmallConvNet, adapters: list[InstanceAdapter],
-                       x: Tensor) -> Tensor:
-    """Single deterministic forward with learned alpha = clamp(epsilon)."""
-    provider = _learned_alphas(net, adapters, None)
-    _, logits = net.forward(x, BNMode.INTERPOLATED_ADAPTER, provider)
-    return logits
-
-
-def baseline_alpha_inference(net: SmallConvNet, x: Tensor, mode: str,
-                             fixed_value: float | None = None,
-                             rng: np.random.Generator | None = None) -> Tensor:
-    """Ablation inference: constant alpha or per-sample uniform alpha.
-
-    One (N, n_layers) block of alphas gives layer i column i, so one
-    generator hands each sample the same alphas however the samples are
-    split into forward passes.
-    """
-    size = (x.shape[0], len(net.bn_layers()))
-    if mode == "fixed":
-        if fixed_value is None:
-            raise ConfigError("fixed alpha mode needs a value")
-        block = np.full(size, float(fixed_value))
-    elif mode == "random":
-        if rng is None:
-            raise ConfigError("random alpha mode needs an RNG")
-        block = rng.uniform(0.0, 1.0, size=size)
-    else:
-        raise ConfigError(f"baseline alpha mode must be 'fixed' or 'random', got {mode!r}")
-    _, logits = net.forward(x, BNMode.INTERPOLATED_ADAPTER,
-                            lambda i, h: Tensor(block[:, i : i + 1]))
-    return logits

@@ -153,6 +153,15 @@ def _semantic_checks(cfg: dict):
     # The domain generator makes RGB images only.
     if m["in_channels"] != 3:
         raise ConfigError(f"model.in_channels must be 3, got {m['in_channels']}")
+    # Each stride-2 block maps size s to (s - 1) // 2 + 1, and instance
+    # statistics need at least two pixels per channel.
+    size = b["image_size"]
+    for _ in m["widths"]:
+        size = (size - 1) // 2 + 1
+    if size < 2:
+        raise ConfigError(
+            f"benchmark.image_size={b['image_size']} with {len(m['widths'])} model.widths "
+            f"leaves a {size}x{size} map after the last block; need at least 2x2")
 
 
 def run_spec(cfg: dict) -> tuple[PartitionSpec, RoundPlan, TrainConfig]:

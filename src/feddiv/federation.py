@@ -15,7 +15,7 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import tensor as T
-from .adapter import InstanceAdapter, adapter_parameters
+from .adapter import InstanceAdapter, adapter_parameters, learned_alphas
 from .diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
 from .errors import ConfigError, FeddivError, InputError, ProtocolError
 from .layers import BNMode, SmallConvNet
@@ -411,6 +411,16 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
 # large chunk spreads each op's fixed Python and NumPy cost over more images.
 EVAL_CHUNK = 256
 
+# Held-out inference modes, each one blend weight per BN layer: zero (global
+# statistics only), the adapters' learned alpha, or a constant or uniform
+# alpha per sample and layer.
+INFERENCE_MODES = ("eval_global", "adaptive", "fixed_alpha", "random_alpha")
+
+
+def _columns(block: np.ndarray):
+    """Alpha provider giving layer i column i of an (N, n_layers) block."""
+    return lambda i, h: Tensor(block[:, i : i + 1])
+
 
 def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
                  fixed_value: float | None = None,
@@ -418,25 +428,37 @@ def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
     """Fraction of correct argmax predictions under the given inference mode.
 
     Runs ``EVAL_CHUNK`` images at a time, independent of the training batch
-    size.
+    size, one ``net.forward`` per chunk. The baselines draw one (N, n_layers)
+    block of alphas per chunk, so one generator hands each image the same
+    alphas however the images are chunked.
     """
     n = len(dataset.labels)
     if n == 0:
         raise InputError("evaluate: empty dataset")
+    bn_mode = BNMode.INTERPOLATED_ADAPTER
+    if inference_mode == "eval_global":
+        bn_mode, alphas = BNMode.EVAL_GLOBAL, lambda size: None
+    elif inference_mode == "adaptive":
+        if adapters is None:
+            raise ConfigError("adaptive inference needs adapters")
+        learned = learned_alphas(net, adapters)
+        alphas = lambda size: learned
+    elif inference_mode == "fixed_alpha":
+        if fixed_value is None:
+            raise ConfigError("fixed alpha mode needs a value")
+        alphas = lambda size: _columns(np.full(size, float(fixed_value)))
+    elif inference_mode == "random_alpha":
+        if rng is None:
+            raise ConfigError("random alpha mode needs an RNG")
+        alphas = lambda size: _columns(rng.uniform(0.0, 1.0, size=size))
+    else:
+        raise InputError(f"unknown inference mode {inference_mode!r}")
+    n_layers = len(net.bn_layers())
     correct = 0
     with T.no_grad():
         for start in range(0, n, EVAL_CHUNK):
             x = Tensor(dataset.images[start : start + EVAL_CHUNK])
-            if inference_mode == "eval_global":
-                _, logits = net.forward(x, BNMode.EVAL_GLOBAL)
-            elif inference_mode == "adaptive":
-                logits = adapter_mod.adaptive_inference(net, adapters, x)
-            elif inference_mode == "fixed_alpha":
-                logits = adapter_mod.baseline_alpha_inference(net, x, "fixed", fixed_value)
-            elif inference_mode == "random_alpha":
-                logits = adapter_mod.baseline_alpha_inference(net, x, "random", rng=rng)
-            else:
-                raise InputError(f"unknown inference mode {inference_mode!r}")
+            _, logits = net.forward(x, bn_mode, alphas((x.shape[0], n_layers)))
             pred = logits.data.argmax(axis=1)
             correct += int((pred == dataset.labels[start : start + EVAL_CHUNK]).sum())
     return correct / n

@@ -15,14 +15,13 @@ from .adapter import make_adapters
 from .config import benchmark_hash, config_hash, run_spec
 from .domains import DEFAULT_DOMAIN_SPECS, DomainSpec, build_benchmark
 from .errors import ConfigError, InputError
-from .federation import (ClientState, ServerState, evaluate_net, extract_bundle, load_bundle,
-                         run_federation)
+from .federation import (INFERENCE_MODES, ClientState, ServerState, evaluate_net, extract_bundle,
+                         load_bundle, run_federation)
 from .layers import SmallConvNet
 
 log = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
-INFERENCE_MODES = ("eval_global", "adaptive", "fixed_alpha", "random_alpha")
 
 
 def default_domain_specs(n_domains: int) -> list[DomainSpec]:

@@ -164,13 +164,6 @@ class SmallConvNet:
         params["classifier.b"] = self.classifier.bias
         return params
 
-    def bn_stats(self) -> dict[str, np.ndarray]:
-        stats = {}
-        for i, (_, bn) in enumerate(self.blocks):
-            stats[f"block{i}.bn.local_mean"] = bn.local_mean
-            stats[f"block{i}.bn.local_var"] = bn.local_var
-        return stats
-
     def set_global_stats(self, stats_per_layer: list[tuple[np.ndarray, np.ndarray]]):
         bns = self.bn_layers()
         if len(stats_per_layer) != len(bns):

@@ -1,7 +1,9 @@
-"""Shared test oracles: finite differences and relative error."""
+"""Shared test oracles: finite differences, relative error, model read-outs."""
 
 import numpy as np
 
+from feddiv.domains import Dataset
+from feddiv.federation import evaluate_net, extract_bundle, is_bn_stat
 from feddiv.tensor import Tensor
 
 
@@ -41,3 +43,28 @@ def check_grads(build_loss, params: list[Tensor], tol: float = 1e-4, h: float = 
         assert p.grad is not None, "parameter received no gradient"
         err = rel_err(p.grad, num)
         assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol}"
+
+
+def bn_stats(net) -> dict:
+    """Copies of every BN layer's running ``local_mean`` and ``local_var``."""
+    return {k: v for k, v in extract_bundle(net, None).items() if is_bn_stat(k)}
+
+
+def inference_logits(net, adapters, images: np.ndarray, mode: str, fixed_value=None,
+                     rng=None) -> np.ndarray:
+    """The logits ``evaluate_net`` computes for ``images`` in ``mode``, in image order."""
+    seen = []
+    forward = net.forward
+
+    def recording(*args):
+        out = forward(*args)
+        seen.append(out[1].data)
+        return out
+
+    net.forward = recording
+    try:
+        evaluate_net(net, adapters, Dataset(images, np.zeros(len(images), dtype=np.int64)),
+                     mode, fixed_value, rng)
+    finally:
+        del net.forward
+    return np.concatenate(seen)

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from feddiv import tensor as T
-from feddiv.adapter import (adapter_parameters, adapter_train_step, adaptive_inference,
-                            alpha_test, make_adapters, reparam_alpha_train)
+from feddiv.adapter import (adapter_parameters, adapter_train_step, learned_alphas,
+                            make_adapters, reparam_alpha_train)
 from feddiv.config import load_config
 from feddiv.diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
 from feddiv.domains import Dataset, PartitionSpec, generate_base, partition
@@ -30,7 +30,7 @@ from feddiv.harness import run_seed
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
 
-from helpers import numeric_grad, rel_err
+from helpers import inference_logits, numeric_grad, rel_err
 
 GRAD_TOL = 1e-4
 EQ_TOL = 1e-10
@@ -305,19 +305,38 @@ class TestCriterion5AdapterContracts:
         return rng, net, adapters, x, labels
 
     def test_alpha_always_in_unit_interval(self):
+        _, net, adapters, x, _ = self._setup()
+        test_alpha = learned_alphas(net, adapters, None)
+        a_tests = []
+
+        def recording(i, h):
+            alpha = test_alpha(i, h)
+            a_tests.append(alpha.data)
+            return alpha
+
         rng = np.random.default_rng(52)
+        clamped = set()
         for _ in range(50):
             delta = Tensor(rng.standard_normal((7, 1)) * 100)
             epsilon = Tensor(rng.standard_normal((7, 1)) * 100)
             a_train = reparam_alpha_train(delta, epsilon, rng).alpha.data
-            a_test = alpha_test(epsilon).data
+            # scaled output layers spread each layer's epsilon far past [0, 1]
+            for a in adapters:
+                a.fc2.weight.data = rng.standard_normal(a.fc2.weight.shape) * 100
+                a.fc2.bias.data = rng.standard_normal(2) * 100
+            a_tests.clear()
+            net.forward(x, BNMode.INTERPOLATED_ADAPTER, recording)
+            assert len(a_tests) == len(net.bn_layers())
+            a_test = np.concatenate(a_tests)
             assert a_train.min() >= 0.0 and a_train.max() <= 1.0
             assert a_test.min() >= 0.0 and a_test.max() <= 1.0
+            clamped.update(a_test[(a_test == 0.0) | (a_test == 1.0)].tolist())
+        assert clamped == {0.0, 1.0}  # the clamp was reached from both sides
 
     def test_test_time_inference_deterministic(self):
         _, net, adapters, x, _ = self._setup()
-        l1 = adaptive_inference(net, adapters, x).data
-        l2 = adaptive_inference(net, adapters, x).data
+        l1 = inference_logits(net, adapters, x.data, "adaptive")
+        l2 = inference_logits(net, adapters, x.data, "adaptive")
         assert np.array_equal(l1, l2)
 
     def test_adapter_step_freezes_main_network(self):

@@ -3,14 +3,14 @@ import pytest
 
 import feddiv.tensor as T
 from feddiv.adapter import (InstanceAdapter, adapter_parameters, adapter_train_step,
-                            adaptive_inference, alpha_test, baseline_alpha_inference,
-                            make_adapters, reparam_alpha_train)
+                            learned_alphas, make_adapters, reparam_alpha_train)
+from feddiv.domains import Dataset
 from feddiv.errors import ConfigError, InputError
-from feddiv.federation import SGD
+from feddiv.federation import SGD, evaluate_net
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
 
-from helpers import rel_err
+from helpers import bn_stats, inference_logits, rel_err
 
 
 def make_net(seed=0, widths=(4, 8)):
@@ -20,6 +20,18 @@ def make_net(seed=0, widths=(4, 8)):
         bn.set_global_stats(rng.uniform(-0.5, 0.5, bn.channels),
                             rng.uniform(0.5, 2.0, bn.channels))
     return net
+
+
+def forced_test_alpha(epsilon: float) -> Tensor:
+    """Layer 0's alpha from the provider at ``rng=None``, with every sample's
+    epsilon forced to ``epsilon`` (a zero output weight and that bias)."""
+    net = make_net(widths=(4,))
+    adapters = make_adapters(net, hidden_dim=8)
+    fc2 = adapters[0].fc2
+    fc2.weight.data = np.zeros_like(fc2.weight.data)
+    fc2.bias.data = np.array([0.0, epsilon])
+    h = Tensor(np.random.default_rng(0).uniform(0, 1, (2, 4, 4, 4)))
+    return learned_alphas(net, adapters)(0, h)
 
 
 class TestAdapterForward:
@@ -87,14 +99,15 @@ class TestAlphaGeneration:
             eps = Tensor(rng.uniform(-10, 10, (8, 1)))
             s = reparam_alpha_train(delta, eps, rng)
             assert np.all(s.alpha.data >= 0.0) and np.all(s.alpha.data <= 1.0)
-            t = alpha_test(eps)
-            assert np.all(t.data >= 0.0) and np.all(t.data <= 1.0)
+            for e in eps.data[:, 0]:
+                t = forced_test_alpha(e)
+                assert np.all(t.data >= 0.0) and np.all(t.data <= 1.0)
 
     def test_alpha_test_deterministic(self):
-        assert alpha_test(Tensor([[0.3]])).data.item() == 0.3
-        assert alpha_test(Tensor([[-1.0]])).data.item() == 0.0
-        a1 = alpha_test(Tensor([[0.4]])).data
-        a2 = alpha_test(Tensor([[0.4]])).data
+        assert np.all(forced_test_alpha(0.3).data == 0.3)
+        assert np.all(forced_test_alpha(-1.0).data == 0.0)
+        a1 = forced_test_alpha(0.4).data
+        a2 = forced_test_alpha(0.4).data
         assert np.array_equal(a1, a2)
 
 
@@ -143,7 +156,7 @@ class TestAdapterTraining:
         net = make_net(seed=1)
         adapters = make_adapters(net, hidden_dim=8, seed=1)
         before = {k: p.data.copy() for k, p in net.parameters().items()}
-        stats_before = {k: v.copy() for k, v in net.bn_stats().items()}
+        stats_before = bn_stats(net)
         rng = np.random.default_rng(7)
         batch = Tensor(rng.uniform(0, 1, (4, 3, 16, 16)))
         labels = rng.integers(0, 5, 4)
@@ -153,7 +166,7 @@ class TestAdapterTraining:
             assert np.array_equal(p.data, before[k]), k
             # backward stopped at the alphas and the freeze was undone
             assert p.grad is None and p.requires_grad, k
-        for k, v in net.bn_stats().items():
+        for k, v in bn_stats(net).items():
             assert np.array_equal(v, stats_before[k]), k
         assert all(p.grad is not None for p in adapter_parameters(adapters).values())
 
@@ -205,8 +218,7 @@ class TestAdapterTraining:
         # rerun the same forward with the same z draws after the step
         rng_b = np.random.default_rng(123)
         zs = rng_b  # identical stream reproduces identical z per layer
-        from feddiv.adapter import _learned_alphas
-        provider = _learned_alphas(net, adapters, zs)
+        provider = learned_alphas(net, adapters, zs)
         _, logits = net.forward(batch, BNMode.INTERPOLATED_ADAPTER, provider)
         loss_after = float(T.softmax_cross_entropy(logits, labels).data)
         assert loss_after < loss_before
@@ -250,10 +262,10 @@ class TestInference:
     def test_adaptive_inference_deterministic(self):
         net = make_net(seed=5)
         adapters = make_adapters(net, hidden_dim=8, seed=5)
-        x = Tensor(np.random.default_rng(12).uniform(0, 1, (3, 3, 16, 16)))
-        l1 = adaptive_inference(net, adapters, x)
-        l2 = adaptive_inference(net, adapters, x)
-        assert np.array_equal(l1.data, l2.data)
+        x = np.random.default_rng(12).uniform(0, 1, (3, 3, 16, 16))
+        l1 = inference_logits(net, adapters, x, "adaptive")
+        l2 = inference_logits(net, adapters, x, "adaptive")
+        assert np.array_equal(l1, l2)
 
     def test_forced_alpha_zero_matches_eval_global(self):
         net = make_net(seed=6)
@@ -262,24 +274,24 @@ class TestInference:
         for a in adapters:
             a.fc2.weight.data = np.zeros_like(a.fc2.weight.data)
             a.fc2.bias.data = np.array([0.0, -100.0])
-        x = Tensor(np.random.default_rng(13).uniform(0, 1, (3, 3, 16, 16)))
-        logits = adaptive_inference(net, adapters, x)
-        _, want = net.forward(x, BNMode.EVAL_GLOBAL)
-        assert rel_err(logits.data, want.data) < 1e-10
+        x = np.random.default_rng(13).uniform(0, 1, (3, 3, 16, 16))
+        logits = inference_logits(net, adapters, x, "adaptive")
+        _, want = net.forward(Tensor(x), BNMode.EVAL_GLOBAL)
+        assert rel_err(logits, want.data) < 1e-10
 
     def test_duplicate_samples_identical_rows(self):
         net = make_net(seed=7)
         adapters = make_adapters(net, hidden_dim=8, seed=7)
         one = np.random.default_rng(14).uniform(0, 1, (1, 3, 16, 16))
-        x = Tensor(np.concatenate([one, one]))
-        logits = adaptive_inference(net, adapters, x).data
+        x = np.concatenate([one, one])
+        logits = inference_logits(net, adapters, x, "adaptive")
         assert np.allclose(logits[0], logits[1], atol=1e-12)
 
     def test_adaptive_matches_layer_replay_oracle(self):
         net = make_net(seed=8)
         adapters = make_adapters(net, hidden_dim=8, seed=8)
         x = np.random.default_rng(15).uniform(0, 1, (2, 3, 16, 16))
-        logits = adaptive_inference(net, adapters, Tensor(x)).data
+        logits = inference_logits(net, adapters, x, "adaptive")
 
         h = x
         for (conv, bn), ad in zip(net.blocks, adapters):
@@ -301,20 +313,23 @@ class TestInference:
 
     def test_baseline_fixed_endpoints(self):
         net = make_net(seed=9)
-        x = Tensor(np.random.default_rng(16).uniform(0, 1, (2, 3, 16, 16)))
-        logits0 = baseline_alpha_inference(net, x, "fixed", 0.0)
-        _, want = net.forward(x, BNMode.EVAL_GLOBAL)
-        assert rel_err(logits0.data, want.data) < 1e-10
+        x = np.random.default_rng(16).uniform(0, 1, (2, 3, 16, 16))
+        logits0 = inference_logits(net, None, x, "fixed_alpha", 0.0)
+        _, want = net.forward(Tensor(x), BNMode.EVAL_GLOBAL)
+        assert rel_err(logits0, want.data) < 1e-10
 
-        logits_half_a = baseline_alpha_inference(net, x, "fixed", 0.5)
-        logits_half_b = baseline_alpha_inference(net, x, "fixed", 0.5)
-        assert np.array_equal(logits_half_a.data, logits_half_b.data)
+        logits_half_a = inference_logits(net, None, x, "fixed_alpha", 0.5)
+        logits_half_b = inference_logits(net, None, x, "fixed_alpha", 0.5)
+        assert np.array_equal(logits_half_a, logits_half_b)
 
     def test_baseline_random_uses_rng(self):
         net = make_net(seed=10)
-        x = Tensor(np.random.default_rng(17).uniform(0, 1, (2, 3, 16, 16)))
-        a = baseline_alpha_inference(net, x, "random", rng=np.random.default_rng(5))
-        b = baseline_alpha_inference(net, x, "random", rng=np.random.default_rng(5))
-        assert np.array_equal(a.data, b.data)
-        with pytest.raises(ConfigError):
-            baseline_alpha_inference(net, x, "learned")
+        x = np.random.default_rng(17).uniform(0, 1, (2, 3, 16, 16))
+        a = inference_logits(net, None, x, "random_alpha", rng=np.random.default_rng(5))
+        b = inference_logits(net, None, x, "random_alpha", rng=np.random.default_rng(5))
+        assert np.array_equal(a, b)
+        ds = Dataset(x, np.zeros(2, dtype=np.int64))
+        with pytest.raises(ConfigError, match="needs an RNG"):
+            evaluate_net(net, None, ds, "random_alpha")
+        with pytest.raises(InputError, match="unknown inference mode"):
+            evaluate_net(net, None, ds, "learned")

@@ -117,17 +117,26 @@ class TestLoadConfig:
         (["federation.momentum=-2"], "momentum"),
         (["federation.momentum=1.5"], "momentum"),
         (["federation.momentum=1.0"], "momentum"),
+        # The last block's map would be 1x1, where instance statistics fail.
+        (["benchmark.image_size=8"], "1x1 map"),
+        (["model.widths=[4,4,4,4]"], "1x1 map"),
     ])
     def test_out_of_range_rejected_at_load(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             load_config(overrides=overrides)
 
-    @pytest.mark.parametrize("override", ["benchmark.classes=2", "benchmark.classes=5",
-                                          "benchmark.image_size=8"])
-    def test_bounds_are_inclusive(self, override):
-        load_config(overrides=[override])
+    # Two blocks take an 8x8 image to the smallest usable map, 2x2; so do
+    # three blocks at 9x9 and four at 17x17.
+    @pytest.mark.parametrize("overrides", [
+        ["benchmark.classes=2"], ["benchmark.classes=5"],
+        ["benchmark.image_size=8", "model.widths=[4,8]"],
+        ["benchmark.image_size=9"], ["model.widths=[4,4,4,4]", "benchmark.image_size=17"],
+    ], ids=",".join)
+    def test_bounds_are_inclusive(self, overrides):
+        load_config(overrides=overrides)
 
-    @pytest.mark.parametrize("override", ["benchmark.classes=6", "benchmark.image_size=7"])
+    @pytest.mark.parametrize("override", ["benchmark.classes=6", "benchmark.image_size=7",
+                                          "benchmark.image_size=8"])
     def test_data_bounds_exit_two_from_cli(self, tmp_path, capsys, override):
         assert cli_main(["run", "--out", str(tmp_path), "--set", override]) == 2
         assert "config error:" in capsys.readouterr().err

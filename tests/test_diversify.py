@@ -8,7 +8,7 @@ from feddiv.federation import load_bundle
 from feddiv.layers import BNMode, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
 
-from helpers import check_grads, rel_err
+from helpers import bn_stats, check_grads, rel_err
 
 
 def make_net(seed=0, widths=(4, 8), init_global=True):
@@ -146,12 +146,12 @@ class TestDiversifiedForward:
 
     def test_buffers_untouched(self):
         net = make_net(seed=3)
-        before = {k: v.copy() for k, v in net.bn_stats().items()}
+        before = bn_stats(net)
         ctx = sample_mix_context(net, SamplingDistribution("uniform", 0, 1, 0.5),
                                  np.random.default_rng(1))
         net.forward(Tensor(np.random.default_rng(8).uniform(0, 1, (2, 3, 16, 16))),
                     BNMode.MIXED_DIVERSIFY, ctx)
-        after = net.bn_stats()
+        after = bn_stats(net)
         for k in before:
             assert np.array_equal(before[k], after[k])
 
@@ -241,7 +241,7 @@ class TestLocalLoss:
         params = list(net.parameters().values())
 
         # freeze running-stat updates out of the loss rebuild by restoring them
-        saved = {k: v.copy() for k, v in net.bn_stats().items()}
+        saved = bn_stats(net)
 
         def loss():
             load_bundle(net, None, saved)

@@ -405,6 +405,22 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="fixed alpha mode needs a value"):
             evaluate_net(net, None, tiny_dataset(n=6), "fixed_alpha")
 
+    @pytest.mark.parametrize("mode,kwargs,error,match", [
+        ("learned", {}, InputError, "unknown inference mode"),
+        ("adaptive", {}, ConfigError, "adaptive inference needs adapters"),
+        ("fixed_alpha", {"rng": np.random.default_rng(0)}, ConfigError, "needs a value"),
+        ("random_alpha", {"fixed_value": 0.5}, ConfigError, "needs an RNG"),
+    ])
+    def test_bad_arguments_fail_before_the_first_chunk(self, mode, kwargs, error, match,
+                                                        monkeypatch):
+        net = SmallConvNet(seed=0, **MODEL)
+        net.set_global_stats(initial_stats())
+        calls = []
+        monkeypatch.setattr(net, "forward", lambda *args: calls.append(args))
+        with pytest.raises(error, match=match):
+            evaluate_net(net, None, tiny_dataset(n=6), mode, **kwargs)
+        assert calls == []
+
     def test_empty_dataset_rejected(self):
         net = SmallConvNet(seed=0, **MODEL)
         empty = Dataset(np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=np.int64))
@@ -443,6 +459,7 @@ class TestEvaluate:
             monkeypatch.setattr(net, "forward", recording)
             acc = evaluate_net(net, adapters, ds, mode, fixed_value=0.5,
                                rng=np.random.default_rng(5))
+            assert len(logits) == -(-len(ds.labels) // chunk)  # one forward per chunk
             runs.append((acc, np.concatenate(logits),
                          {i: np.concatenate(a) for i, a in alphas.items()}))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
-from feddiv.adapter import _learned_alphas, make_adapters
+from feddiv.adapter import learned_alphas, make_adapters
 from feddiv.diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
 from feddiv.layers import BNMode, SmallConvNet
 from feddiv.tensor import Tensor
@@ -53,7 +53,7 @@ def mode_context(mode, net, rng):
     if mode is BNMode.MIXED_DIVERSIFY:
         return sample_mix_context(net, SamplingDistribution("uniform", 0.0, 1.0, 0.5), rng)
     if mode is BNMode.INTERPOLATED_ADAPTER:
-        return _learned_alphas(net, make_adapters(net, 8, seed=0), rng)
+        return learned_alphas(net, make_adapters(net, 8, seed=0), rng)
     return None
 
 

@@ -1,4 +1,5 @@
-"""tools/run_digest.py: equal runs give equal digests, and one ulp anywhere moves it."""
+"""tools/run_digest.py: equal runs give equal digests, one ulp anywhere moves it,
+and each benchmark workload replays to its recorded digest."""
 
 import copy
 import importlib.util
@@ -11,8 +12,8 @@ import pytest
 from feddiv.config import load_config
 from feddiv.harness import run_seed
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
-                    "run_digest.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "run_digest.py")
 
 TINY = [
     "benchmark.samples_per_client=30",
@@ -79,3 +80,23 @@ def test_any_change_moves_the_digest(runs, change):
     changed = copy.deepcopy(a)
     change(changed)
     assert tool.run_digest(changed) != tool.run_digest(a)
+
+
+# ``python3 tools/run_digest.py --seeds 0``: the full runs of the benchmark's
+# workloads, recorded when the tool was added and unchanged since.
+WORKLOAD_DIGESTS = {
+    "fedfd_a-small": "00453fd6070c3f35dac1274b1f95c188b2b91fd91ff1c64bc3869c7e1163532b",
+    "fedavg-wide": "e73cb12d8d36f9f8378f342c0a9e6601242d7d5940ccf20a67b1a1561b9fccea",
+    "fedbn-many-clients": "b956f9d7b20219cf93f4bc8b93a55cae9d564cc01ce26dbd4f6805df0612dc65",
+}
+
+
+def test_workloads_replay_their_recorded_digests(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import workloads
+
+    tool = load_tool()
+    assert set(WORKLOAD_DIGESTS) == set(workloads.WORKLOADS)
+    got = {name: tool.run_digest(run_seed(workloads.workload_config(name, 0), 0))
+           for name in WORKLOAD_DIGESTS}
+    assert got == WORKLOAD_DIGESTS
