@@ -158,8 +158,12 @@ def apply_domain(dataset: Dataset, spec: DomainSpec) -> Dataset:
     return Dataset(out, dataset.labels.copy())
 
 
-def _split_indices(labels: np.ndarray, spec: PartitionSpec, seed: int) -> list[np.ndarray]:
-    """Each client's sample indices, sorted: IID or Dirichlet-skewed by label."""
+def partition(labels: np.ndarray, spec: PartitionSpec, seed: int) -> list[np.ndarray]:
+    """Each client's sample indices, sorted: IID or Dirichlet-skewed by label.
+
+    A client needs one training and one validation sample, so each gets at
+    least 2; a split that cannot give them raises ``InputError``.
+    """
     n = len(labels)
     if n < spec.n_clients:
         raise InputError(f"cannot split {n} samples across {spec.n_clients} clients")
@@ -175,9 +179,12 @@ def _split_indices(labels: np.ndarray, spec: PartitionSpec, seed: int) -> list[n
             idx = rng.permutation(np.flatnonzero(labels == cls))
             for i, sample in enumerate(idx):
                 client_indices[(i + offset) % spec.n_clients].append(int(sample))
+        if min(map(len, client_indices)) < 2:
+            raise InputError(f"an IID split of {n} samples leaves one of {spec.n_clients} "
+                             f"clients fewer than 2")
     else:
-        # A client needs one training and one validation sample; a split that
-        # leaves one with fewer than 2 is redrawn whole from the same stream.
+        # A split that leaves a client fewer than 2 samples is redrawn whole
+        # from the same stream.
         for _ in range(100):
             client_indices = [[] for _ in range(spec.n_clients)]
             for cls in classes:
@@ -194,12 +201,7 @@ def _split_indices(labels: np.ndarray, spec: PartitionSpec, seed: int) -> list[n
     return [np.sort(np.asarray(idx, dtype=np.int64)) for idx in client_indices]
 
 
-def partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]:
-    """Split a dataset across clients, IID or Dirichlet-skewed by label."""
-    return [dataset.subset(idx) for idx in _split_indices(dataset.labels, spec, seed)]
-
-
-DEFAULT_DOMAIN_SPECS = [
+_HAND_TUNED_SPECS = [
     DomainSpec(0, gain=(1.0, 1.0, 1.0), bias=(0.0, 0.0, 0.0), texture_freq=0.0,
                texture_amp=0.0),
     DomainSpec(1, gain=(1.4, 0.7, 1.0), bias=(0.12, -0.08, 0.0), texture_freq=2.0,
@@ -211,43 +213,56 @@ DEFAULT_DOMAIN_SPECS = [
 ]
 
 
+def domain_specs(n_domains: int) -> list[DomainSpec]:
+    """The benchmark's domains: four hand-tuned, then extras drawn procedurally."""
+    specs = _HAND_TUNED_SPECS[:n_domains]
+    rng = np.random.default_rng(2024)
+    for d in range(len(specs), n_domains):
+        gain = tuple(rng.uniform(0.5, 1.6, size=3))
+        bias = tuple(rng.uniform(-0.15, 0.25, size=3))
+        specs.append(DomainSpec(d, gain, bias, texture_freq=float(rng.uniform(1, 5)),
+                                texture_amp=float(rng.uniform(0.05, 0.15))))
+    return specs
+
+
 @dataclass
 class Benchmark:
     """Leave-one-domain-out split: training clients plus a held-out test set."""
 
     train_clients: list[dict]  # {"domain_id", "train": Dataset, "val": Dataset}
     test_set: Dataset
-    held_out_domain: int
 
 
-def build_benchmark(domain_specs: list[DomainSpec], held_out: int, samples_per_client: int,
-                    classes: int, size: int, seed: int, val_fraction: float,
-                    test_samples: int, partition_spec: PartitionSpec) -> Benchmark:
+def build_benchmark(n_domains: int, held_out: int, samples_per_client: int, classes: int,
+                    size: int, seed: int, val_fraction: float, test_samples: int,
+                    partition_spec: PartitionSpec) -> Benchmark:
     """Generate the full leave-one-domain-out benchmark deterministically.
 
-    ``partition_spec`` splits each domain across its clients. The held-out
-    set is built first, while nothing else is resident, and every client's
-    train and val arrays are copied once, straight from its shifted domain.
-    Each draw has its own seed, so the order changes no bit.
+    Domain ``held_out`` of ``domain_specs(n_domains)`` is the test set, and
+    ``partition_spec`` splits each other domain across its clients. The
+    held-out set is built first, while nothing else is resident, and every
+    client's train and val arrays are copied once, straight from its shifted
+    domain. Each draw has its own seed, so the order changes no bit.
     """
-    if len(domain_specs) < 2:
+    if n_domains < 2:
         raise InputError("need at least 2 domains for leave-one-domain-out")
-    if not any(s.domain_id == held_out for s in domain_specs):
-        raise InputError(f"held-out domain {held_out} not among specs")
+    if not 0 <= held_out < n_domains:
+        raise InputError(f"held-out domain {held_out} not in [0, {n_domains})")
 
-    test_spec = next(s for s in domain_specs if s.domain_id == held_out)
+    specs = domain_specs(n_domains)
     test_set = apply_domain(generate_base(test_samples, classes, size, seed=seed * 1000 + 777),
-                            test_spec)
+                            specs[held_out])
 
     train_clients = []
-    for spec in domain_specs:
+    for spec in specs:
         if spec.domain_id == held_out:
             continue
         domain_seed = seed * 1000 + spec.domain_id
         total = samples_per_client * partition_spec.n_clients
         shifted = apply_domain(generate_base(total, classes, size, seed=domain_seed), spec)
-        for idx in _split_indices(shifted.labels, partition_spec, seed=domain_seed):
-            n_val = max(1, int(round(len(idx) * val_fraction)))
+        for idx in partition(shifted.labels, partition_spec, seed=domain_seed):
+            # Every split gives a client 2 samples or more; one stays for training.
+            n_val = min(max(1, int(round(len(idx) * val_fraction))), len(idx) - 1)
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, spec.domain_id, len(train_clients), 271]))
             perm = rng.permutation(len(idx))
@@ -256,4 +271,4 @@ def build_benchmark(domain_specs: list[DomainSpec], held_out: int, samples_per_c
                 "train": shifted.subset(idx[np.sort(perm[n_val:])]),
                 "val": shifted.subset(idx[np.sort(perm[:n_val])]),
             })
-    return Benchmark(train_clients, test_set, held_out)
+    return Benchmark(train_clients, test_set)

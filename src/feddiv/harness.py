@@ -13,7 +13,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .adapter import make_adapters
 from .config import benchmark_hash, config_hash, run_spec
-from .domains import DEFAULT_DOMAIN_SPECS, DomainSpec, build_benchmark
+from .domains import build_benchmark
 from .errors import ConfigError, InputError
 from .federation import (INFERENCE_MODES, ClientState, ServerState, evaluate_net, extract_bundle,
                          load_bundle, run_federation)
@@ -24,24 +24,12 @@ log = logging.getLogger(__name__)
 REPORT_SCHEMA_VERSION = 1
 
 
-def default_domain_specs(n_domains: int) -> list[DomainSpec]:
-    """First four domains are hand-tuned; extras are generated procedurally."""
-    specs = list(DEFAULT_DOMAIN_SPECS[:n_domains])
-    rng = np.random.default_rng(2024)
-    for d in range(len(specs), n_domains):
-        gain = tuple(rng.uniform(0.5, 1.6, size=3))
-        bias = tuple(rng.uniform(-0.15, 0.25, size=3))
-        specs.append(DomainSpec(d, gain, bias, texture_freq=float(rng.uniform(1, 5)),
-                                texture_amp=float(rng.uniform(0.05, 0.15))))
-    return specs
-
-
 def run_seed(cfg: dict, seed: int) -> dict:
     """One full federated run for a single seed; returns metrics and artifacts."""
     b, m = cfg["benchmark"], cfg["model"]
     partition_spec, plan, tcfg = run_spec(cfg)
-    bench = build_benchmark(default_domain_specs(b["domains"]), b["held_out_domain"],
-                            b["samples_per_client"], b["classes"], b["image_size"], seed=seed,
+    bench = build_benchmark(b["domains"], b["held_out_domain"], b["samples_per_client"],
+                            b["classes"], b["image_size"], seed=seed,
                             val_fraction=b["val_fraction"], test_samples=b["test_samples"],
                             partition_spec=partition_spec)
 

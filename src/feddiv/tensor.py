@@ -159,18 +159,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), vjp)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0  # subgradient at 0 is 0
     # fmax maps NaN to 0 and keeps x's memory order; adding 0.0 turns -0.0
@@ -178,11 +166,6 @@ def relu(x: Tensor) -> Tensor:
     out = np.fmax(x.data, 0.0)
     out += 0.0
     return _make(out, (x,), lambda g: (g * mask,))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    root = np.sqrt(x.data)
-    return _make(root, (x,), lambda g: (g * 0.5 / root,))
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:

@@ -496,5 +496,6 @@ class TestCriterion9PartitionSkew:
             ("d05", PartitionSpec("dirichlet", 0.5, n_clients)),
             ("iid", PartitionSpec("iid", 0.5, n_clients)),
         ):
-            tv[name] = self._mean_tv(partition(base, spec, seed), classes)
+            split = partition(base.labels, spec, seed)
+            tv[name] = self._mean_tv([base.subset(idx) for idx in split], classes)
         assert tv["d01"] > tv["d05"] > tv["iid"], tv

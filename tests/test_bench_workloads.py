@@ -81,6 +81,8 @@ def test_every_workload_passes_the_checks_traced(monkeypatch, tmp_path):
         found += [f"metric {m} missing" for m in sorted(wanted - set(metrics))]
         if not metrics["layers.forward.train_batch.calls"][0] > 0:
             found.append("no traced forward")
+        if not metrics["domains.partition.s"][0] > 0:
+            found.append("no traced client split")
         problems += [f"{name}: {p}" for p in found]
     assert problems == []
 

@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from feddiv.domains import (DEFAULT_DOMAIN_SPECS, Dataset, DomainSpec, PartitionSpec,
-                            apply_domain, build_benchmark, generate_base, partition)
+from feddiv.domains import (Dataset, DomainSpec, PartitionSpec, apply_domain, build_benchmark,
+                            domain_specs, generate_base, partition)
 from feddiv.errors import InputError
-from feddiv.harness import default_domain_specs
 
 
 def tv_from_uniform(labels, classes):
@@ -99,7 +98,7 @@ class TestMatchesPerImageReference:
                                       reference_generate_base(n, classes, size, seed, channels),
                                       (n, classes, seed))
 
-    @pytest.mark.parametrize("spec", DEFAULT_DOMAIN_SPECS + [JITTER_SPEC],
+    @pytest.mark.parametrize("spec", domain_specs(4) + [JITTER_SPEC],
                              ids=["domain0", "domain1", "domain2", "domain3", "jitter"])
     def test_apply_domain(self, spec):
         for size in (8, 9, 12, 16):
@@ -182,10 +181,23 @@ class TestApplyDomain:
             DomainSpec(0, gain=(0.0, 1.0, 1.0))
 
 
+class TestDomainSpecs:
+    def test_extras_extend_the_hand_tuned_four(self):
+        six = domain_specs(6)
+        assert [spec.domain_id for spec in six] == list(range(6))
+        assert domain_specs(2) == six[:2] and domain_specs(4) == six[:4]
+        assert domain_specs(7)[:6] == six
+
+
+def clients(ds, spec, seed):
+    """Each client's samples, taken by the indices ``partition`` returns."""
+    return [ds.subset(idx) for idx in partition(ds.labels, spec, seed)]
+
+
 class TestPartition:
     def test_iid_balanced(self):
         ds = generate_base(100, 5, seed=7)
-        parts = partition(ds, PartitionSpec("iid", alpha=0.5, n_clients=2), seed=0)
+        parts = clients(ds, PartitionSpec("iid", alpha=0.5, n_clients=2), seed=0)
         assert sorted(len(p) for p in parts) == [50, 50]
         for p in parts:
             hist = np.bincount(p.labels, minlength=5)
@@ -193,7 +205,7 @@ class TestPartition:
 
     def test_conservation_no_duplication(self):
         ds = generate_base(90, 5, seed=8)
-        parts = partition(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=4), seed=1)
+        parts = clients(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=4), seed=1)
         total = sum(len(p) for p in parts)
         assert total == 90
         # label marginals over all clients equal source marginals exactly
@@ -203,22 +215,22 @@ class TestPartition:
 
     def test_large_alpha_approaches_iid(self):
         ds = generate_base(500, 5, seed=9)
-        parts = partition(ds, PartitionSpec("dirichlet", alpha=1e6, n_clients=5), seed=2)
+        parts = clients(ds, PartitionSpec("dirichlet", alpha=1e6, n_clients=5), seed=2)
         for p in parts:
             assert tv_from_uniform(p.labels, 5) < 0.1
 
     def test_small_alpha_reproducibly_skewed(self):
         ds = generate_base(500, 5, seed=10)
         for _ in range(2):
-            parts = partition(ds, PartitionSpec("dirichlet", alpha=0.1, n_clients=10), seed=3)
+            parts = clients(ds, PartitionSpec("dirichlet", alpha=0.1, n_clients=10), seed=3)
             shares = [np.bincount(p.labels, minlength=5).max() / max(len(p), 1)
                       for p in parts if len(p) > 0]
             assert np.mean(shares) > 0.4  # far above the IID share of 0.2
 
     def test_deterministic_per_seed(self):
         ds = generate_base(100, 5, seed=11)
-        a = partition(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=3), seed=4)
-        b = partition(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=3), seed=4)
+        a = clients(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=3), seed=4)
+        b = clients(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=3), seed=4)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.labels, pb.labels)
             assert np.array_equal(pa.images, pb.images)
@@ -226,15 +238,21 @@ class TestPartition:
     def test_infeasible_spec(self):
         ds = generate_base(3, 3, seed=12)
         with pytest.raises(InputError):
-            partition(ds, PartitionSpec("iid", alpha=0.5, n_clients=10), seed=0)
+            clients(ds, PartitionSpec("iid", alpha=0.5, n_clients=10), seed=0)
+
+    def test_iid_split_that_starves_a_client_refused(self):
+        # Stratified round-robin gives the clients 2, 3 and 1 of these 6.
+        ds = generate_base(6, 5, seed=0)
+        with pytest.raises(InputError, match="fewer than 2"):
+            partition(ds.labels, PartitionSpec("iid", alpha=0.5, n_clients=3), seed=0)
 
     @pytest.mark.parametrize("seed", [114, 159])
     def test_dirichlet_redraws_a_split_that_starves_a_client(self, seed):
         # fedbn-many-clients' data: the first draw at these seeds leaves a
         # client 1 sample, which its validation split takes whole.
         spec = PartitionSpec("dirichlet", alpha=0.5, n_clients=8)
-        bench = build_benchmark(default_domain_specs(6), 3, 100, 5, 16, seed=seed,
-                                val_fraction=0.2, test_samples=10, partition_spec=spec)
+        bench = build_benchmark(6, 3, 100, 5, 16, seed=seed, val_fraction=0.2,
+                                test_samples=10, partition_spec=spec)
         assert len(bench.train_clients) == 40
         for c in bench.train_clients:
             assert len(c["train"]) >= 1 and len(c["val"]) >= 1
@@ -243,7 +261,7 @@ class TestPartition:
         # Two samples per client leave no slack for a skewed split.
         ds = generate_base(10, 5, seed=13)
         with pytest.raises(InputError, match="draws"):
-            partition(ds, PartitionSpec("dirichlet", alpha=0.01, n_clients=5), seed=0)
+            clients(ds, PartitionSpec("dirichlet", alpha=0.01, n_clients=5), seed=0)
 
 
 # One client per domain.
@@ -252,17 +270,14 @@ ONE_CLIENT = PartitionSpec("iid", 0.5, 1)
 
 class TestBuildBenchmark:
     def test_leave_one_out_exclusivity(self):
-        specs = default_domain_specs(4)
-        bench = build_benchmark(specs, held_out=3, samples_per_client=50, classes=5,
+        bench = build_benchmark(4, held_out=3, samples_per_client=50, classes=5,
                                 size=16, seed=0, val_fraction=0.2, test_samples=500,
                                 partition_spec=ONE_CLIENT)
         assert len(bench.train_clients) == 3
         assert {c["domain_id"] for c in bench.train_clients} == {0, 1, 2}
-        assert bench.held_out_domain == 3
 
     def test_train_val_disjoint(self):
-        specs = default_domain_specs(4)
-        bench = build_benchmark(specs, held_out=0, samples_per_client=50, classes=5,
+        bench = build_benchmark(4, held_out=0, samples_per_client=50, classes=5,
                                 size=16, seed=1, val_fraction=0.2, test_samples=500,
                                 partition_spec=ONE_CLIENT)
         for c in bench.train_clients:
@@ -274,10 +289,9 @@ class TestBuildBenchmark:
             assert not flat_train & flat_val
 
     def test_bitwise_stable_regeneration(self):
-        specs = default_domain_specs(4)
-        a = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
+        a = build_benchmark(4, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
                             partition_spec=ONE_CLIENT)
-        b = build_benchmark(specs, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
+        b = build_benchmark(4, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
                             partition_spec=ONE_CLIENT)
         assert np.array_equal(a.test_set.images, b.test_set.images)
         for ca, cb in zip(a.train_clients, b.train_clients):
@@ -286,20 +300,44 @@ class TestBuildBenchmark:
 
     def test_too_few_domains(self):
         with pytest.raises(InputError):
-            build_benchmark(default_domain_specs(4)[:1], 0, 40, 5, 16, seed=0, val_fraction=0.2,
-                            test_samples=500, partition_spec=ONE_CLIENT)
+            build_benchmark(1, 0, 40, 5, 16, seed=0, val_fraction=0.2, test_samples=500,
+                            partition_spec=ONE_CLIENT)
+
+    @pytest.mark.parametrize("held_out", [-1, 4])
+    def test_held_out_outside_the_domains(self, held_out):
+        with pytest.raises(InputError, match="held-out"):
+            build_benchmark(4, held_out, 40, 5, 16, seed=0, val_fraction=0.2, test_samples=5,
+                            partition_spec=ONE_CLIENT)
+
+    def test_val_fraction_leaves_one_training_sample(self):
+        # Two samples at val_fraction 0.9 round to two validation samples.
+        bench = build_benchmark(4, 3, 2, 5, 16, seed=0, val_fraction=0.9, test_samples=5,
+                                partition_spec=ONE_CLIENT)
+        for c in bench.train_clients:
+            assert (len(c["train"]), len(c["val"])) == (1, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_skewed_small_clients_keep_a_training_sample(self, seed):
+        # At seeds 0, 2, 3 and 4 some client gets few enough samples that a
+        # 0.75 validation share would round to all of them.
+        spec = PartitionSpec("dirichlet", alpha=0.3, n_clients=3)
+        bench = build_benchmark(4, 3, 6, 5, 16, seed=seed, val_fraction=0.75, test_samples=5,
+                                partition_spec=spec)
+        assert len(bench.train_clients) == 9
+        for c in bench.train_clients:
+            assert len(c["train"]) >= 1 and len(c["val"]) >= 1
 
     @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
     def test_one_client_domain_is_the_whole_shifted_domain(self, mode):
         # No branch serves one client per domain: the general split must give
         # every sample of the domain once, in the domain's order.
-        specs = default_domain_specs(3)
+        specs = domain_specs(3)
         one = PartitionSpec(mode, 0.5, 1)
-        bench = build_benchmark(specs, 2, 30, 5, 8, seed=4, val_fraction=0.2,
+        bench = build_benchmark(3, 2, 30, 5, 8, seed=4, val_fraction=0.2,
                                 test_samples=5, partition_spec=one)
         for c, spec in zip(bench.train_clients, specs):
             shifted = apply_domain(generate_base(30, 5, 8, seed=4000 + spec.domain_id), spec)
-            assert_same_bytes(partition(shifted, one, seed=0)[0], shifted, mode)
+            assert_same_bytes(clients(shifted, one, seed=0)[0], shifted, mode)
             row = {img.tobytes(): i for i, img in enumerate(shifted.images)}
             assert len(row) == 30
             at = {part: [row[img.tobytes()] for img in c[part].images]
@@ -318,8 +356,8 @@ class TestBuildBenchmark:
         spec = PartitionSpec("dirichlet", alpha=0.5, n_clients=8)
         tracemalloc.start()
         try:
-            bench = build_benchmark(default_domain_specs(6), 3, 100, 5, 16, seed=0,
-                                    val_fraction=0.2, test_samples=2000, partition_spec=spec)
+            bench = build_benchmark(6, 3, 100, 5, 16, seed=0, val_fraction=0.2,
+                                    test_samples=2000, partition_spec=spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

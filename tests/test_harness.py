@@ -71,6 +71,19 @@ class TestRunSeed:
         run_seed(tiny_cfg(["benchmark.clients_per_domain=2"]), 7)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        ["benchmark.samples_per_client=2", "benchmark.val_fraction=0.9"],
+        ["benchmark.samples_per_client=6", "benchmark.clients_per_domain=3",
+         'benchmark.partition="dirichlet"', "benchmark.dirichlet_alpha=0.3",
+         "benchmark.val_fraction=0.75", "model.widths=[4]"],
+    ], ids=["two-samples", "skewed-six-samples"])
+    def test_large_val_fraction_leaves_every_client_training_data(self, overrides):
+        # Each rounds some client's validation share up to its whole split.
+        cfg = load_config(None, overrides + ["federation.rounds=1", "federation.iterations=1"])
+        res = run_seed(cfg, 0)
+        assert {row["client_id"] for row in res["ledger"]} == set(
+            range(3 * cfg["benchmark"]["clients_per_domain"]))
+
     def test_all_inference_modes_reported(self):
         cfg = tiny_cfg()
         res = run_seed(cfg, 7)
