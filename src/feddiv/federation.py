@@ -3,17 +3,23 @@
 Clients train locally and upload their best-validation snapshot; the server
 weighted-averages the strategy's share of the arrays, synthesizes global BN
 statistics from the uploaded running buffers, and keeps the round whose mean
-participant validation accuracy is highest.
+participant validation accuracy is highest. A client's adapter steps run on
+a forked worker process, one iteration behind its main steps (``AdapterWorker``).
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import signal
+import traceback
 from dataclasses import dataclass
+from multiprocessing.pool import RemoteTraceback
 
 import numpy as np
 
 from . import adapter as adapter_mod
+from . import errors
 from . import tensor as T
 from .adapter import InstanceAdapter, adapter_parameters, learned_alphas
 from .diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
@@ -259,6 +265,9 @@ class ClientState:
         self.net = net
         self.adapters = adapters
         self.local: dict[str, np.ndarray] = {}
+        # The adapter worker of the run this client is in; None outside
+        # ``run_federation``, and then ``local_update`` opens its own.
+        self.adapter_worker: AdapterWorker | None = None
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, client_id]))
         # Separate stream for adapter training so that enabling the adapter
         # leaves the main net's batch order and mixing draws untouched.
@@ -301,6 +310,164 @@ class ServerState:
         self.best_stats = [(m.copy(), v.copy()) for m, v in self.global_stats]
 
 
+# -- adapter worker ------------------------------------------------------------
+
+# Seconds a closing worker gets to finish the steps it was sent and exit.
+WORKER_CLOSE_TIMEOUT = 10.0
+
+
+class AdapterWorker:
+    """Runs a client's adapter steps in a forked process, one iteration behind.
+
+    Adapter step t and main step t+1 read the same weights, the ones SGD step
+    t left, and they write disjoint state: the adapter step writes only the
+    adapter arrays and ``adapter_rng``, which the main step never reads, and
+    the interpolated forward leaves the BN running buffers alone. So the
+    parent sends each adapter step and goes on with the next main step, and
+    the bits are those of running the two in turn.
+
+    The process forks at the first ``begin`` and serves until ``close``. It
+    keeps a copy of the network and adapter set it forked with, and a client
+    with another set gets a new process. Everything an adapter step reads
+    comes in the messages: ``begin`` carries the adapter arrays, each BN
+    layer's global statistics, the adapter RNG and learning rate; ``step``
+    the main parameters after the SGD step and the batch. ``sync`` waits for
+    the steps sent so far and loads the adapter arrays they leave; ``end``
+    hands the advanced RNG state back to the client.
+    """
+
+    def __init__(self):
+        self._conn = self._proc = None
+        self._net = self._adapters = None
+        self._client: ClientState | None = None
+        self._iteration = None  # of the last step sent
+
+    def begin(self, client: ClientState, lr: float):
+        if self._proc is not None and (client.net is not self._net
+                                       or client.adapters is not self._adapters):
+            self.close()
+        if self._proc is None:
+            self._fork(client.net, client.adapters)
+        self._client, self._iteration = client, None
+        self._send(("begin", [p.data for p in adapter_parameters(client.adapters).values()],
+                    [(bn.global_mean, bn.global_var) for bn in client.net.bn_layers()],
+                    client.adapter_rng, lr))
+
+    def step(self, iteration: int, params: dict[str, Tensor], images: np.ndarray,
+             labels: np.ndarray):
+        self._iteration = iteration
+        self._send(("step", iteration, [p.data for p in params.values()], images, labels))
+
+    def sync(self):
+        arrays = self._request("sync")
+        for p, a in zip(adapter_parameters(self._client.adapters).values(), arrays):
+            p.data = a
+
+    def end(self):
+        self._client.adapter_rng.bit_generator.state = self._request("end")
+
+    def close(self):
+        """Stop the process, if one runs; the next ``begin`` forks a new one."""
+        if self._proc is None:
+            return
+        conn, proc = self._conn, self._proc
+        self._conn = self._proc = self._net = self._adapters = None
+        conn.close()  # the worker reads EOF once it has run what it was sent
+        proc.join(WORKER_CLOSE_TIMEOUT)
+        if proc.exitcode is None:
+            proc.terminate()
+            proc.join()
+
+    def _fork(self, net: SmallConvNet, adapters: list[InstanceAdapter]):
+        ctx = multiprocessing.get_context("fork")
+        conn, worker_conn = ctx.Pipe()
+        try:
+            proc = ctx.Process(target=_serve_adapter_steps, args=(worker_conn, conn, net, adapters),
+                               name="feddiv-adapter-worker", daemon=True)
+            proc.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            worker_conn.close()
+        self._conn, self._proc, self._net, self._adapters = conn, proc, net, adapters
+
+    def _send(self, message):
+        try:
+            self._conn.send(message)
+        except OSError as exc:  # the worker is gone
+            raise self._lost() from exc
+
+    def _request(self, kind: str):
+        self._send((kind,))
+        try:
+            status, payload = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._lost() from exc
+        if status == "error":
+            iteration, name, message, worker_traceback = payload
+            error = getattr(errors, name, None)
+            if not (isinstance(error, type) and issubclass(error, FeddivError)):
+                error, message = FeddivError, f"{name}: {message}"
+            raise error(f"client {self._client.client_id}: adapter step at iteration "
+                        f"{iteration} failed: {message}") from RemoteTraceback(worker_traceback)
+        return payload
+
+    def _lost(self) -> FeddivError:
+        self._proc.join(WORKER_CLOSE_TIMEOUT)
+        at = "before its first step" if self._iteration is None else \
+            f"at iteration {self._iteration}"
+        return FeddivError(f"client {self._client.client_id}: adapter worker {at}: the worker "
+                           f"process exited (exit code {self._proc.exitcode})")
+
+
+def _serve_adapter_steps(conn, parent_conn, net: SmallConvNet, adapters: list[InstanceAdapter]):
+    """The worker's loop: run what the parent sends until its end of the pipe closes.
+
+    A step that raises is reported at the next ``sync`` or ``end``, and the
+    steps after it are skipped until the next ``begin``.
+    """
+    parent_conn.close()  # so that the parent's exit is an EOF here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and closes
+    params = list(net.parameters().values())
+    named_adapter_params = adapter_parameters(adapters)
+    adapter_params = list(named_adapter_params.values())
+    failure = None
+    try:
+        while True:
+            kind, *args = conn.recv()
+            if kind == "begin":
+                arrays, stats, rng, lr = args
+                for p, a in zip(adapter_params, arrays):
+                    p.data = a
+                net.set_global_stats(stats)
+                # The adapter head sits behind the normalization statistics,
+                # where gradients are far larger than in the main net; a hot
+                # momentum-SGD step there diverges, so the adapter gets its
+                # own gentle optimizer.
+                optimizer = SGD(named_adapter_params, lr=lr, momentum=0.0)
+                failure = None
+            elif kind == "step":
+                iteration, arrays, images, labels = args
+                if failure is not None:
+                    continue
+                try:
+                    for p, a in zip(params, arrays):
+                        p.data = a
+                    adapter_mod.adapter_train_step(net, adapters, Tensor(images), labels,
+                                                   optimizer, rng)
+                except Exception as exc:  # reported to the parent, which raises it
+                    failure = (iteration, type(exc).__name__, str(exc), traceback.format_exc())
+            elif failure is not None:
+                conn.send(("error", failure))
+            elif kind == "sync":
+                conn.send(("ok", [p.data for p in adapter_params]))
+            else:
+                conn.send(("ok", rng.bit_generator.state))
+    except (EOFError, OSError):
+        return  # the parent closed its end of the pipe, or exited
+
+
 # -- local training ----------------------------------------------------------
 
 def _prox_penalty(params: dict[str, Tensor], reference: dict[str, np.ndarray],
@@ -317,8 +484,24 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
     """One round of local training; returns (best snapshot, metrics).
 
     Trains ``client.net``, which the clients of a run share, and leaves the
-    arrays the strategy keeps local in ``client.local``.
+    arrays the strategy keeps local in ``client.local``. The adapter steps
+    when the client has adapters and the round is past warm-up; its steps
+    run on ``client.adapter_worker``, or on a worker opened for this call.
     """
+    if client.adapters is None or round_idx < cfg.adapter_warmup_rounds:
+        return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx, None)
+    worker = client.adapter_worker or AdapterWorker()
+    try:
+        return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx, worker)
+    finally:
+        if worker is not client.adapter_worker:  # run_federation closes the run's worker
+            worker.close()
+
+
+def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan: RoundPlan,
+                   cfg: TrainConfig, round_idx: int,
+                   worker: AdapterWorker | None) -> tuple[dict, dict]:
+    """``local_update``'s training; ``worker`` runs the adapter steps, if any."""
     load_bundle(client.net, client.adapters, {**server_bundle, **client.local})
     if round_idx == 0:
         # No server-synthesized statistics exist before the first
@@ -341,13 +524,8 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
     prox_ref = ({k: p.data.copy() for k, p in main_params.items()}
                 if cfg.strategy == "fedprox" else None)
     optimizer = SGD(main_params, lr=cfg.lr, momentum=cfg.momentum)
-    adapter_opt = None
-    if client.adapters is not None and round_idx >= cfg.adapter_warmup_rounds:
-        # The adapter head sits behind the normalization statistics, where
-        # gradients are far larger than in the main net; a hot momentum-SGD
-        # step there diverges, so the adapter gets its own gentle optimizer.
-        adapter_opt = SGD(adapter_parameters(client.adapters),
-                          lr=cfg.adapter_lr, momentum=0.0)
+    if worker is not None:
+        worker.begin(client, cfg.adapter_lr)
 
     # The last iteration always validates and any accuracy beats -inf, so the
     # first validation takes the first snapshot; only a zero-iteration round
@@ -385,16 +563,21 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
         loss_sums["cafl"] += comps["cafl"]
         loss_sums["total"] += float(total.data)
 
-        if adapter_opt is not None:
-            adapter_mod.adapter_train_step(client.net, client.adapters, batch, labels,
-                                           adapter_opt, client.adapter_rng)
+        if worker is not None:
+            worker.step(it, main_params, images, labels)
 
         if (it + 1) % plan.val_every == 0 or it == plan.iterations - 1:
+            # The snapshot below holds the adapter arrays of this iteration,
+            # and validation gets the machine to itself.
+            if worker is not None:
+                worker.sync()
             acc = evaluate_net(client.net, client.adapters, client.val_data, "eval_global")
             if acc > best_val:
                 best_val = acc
                 best_bundle = extract_bundle(client.net, client.adapters)
 
+    if worker is not None:
+        worker.end()
     if best_bundle is None:
         best_bundle = extract_bundle(client.net, client.adapters)
     aggregated = set(aggregated_keys(server_bundle, cfg.strategy))
@@ -476,6 +659,19 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
     if not clients:
         raise ProtocolError("run_federation: need at least one client")
     clients = sorted(clients, key=lambda c: c.client_id)
+    worker = AdapterWorker()  # forks at the first update that steps the adapter
+    for c in clients:
+        c.adapter_worker = worker
+    try:
+        return _run_rounds(clients, server, plan, cfg)
+    finally:
+        worker.close()
+        for c in clients:
+            c.adapter_worker = None
+
+
+def _run_rounds(clients: list[ClientState], server: ServerState, plan: RoundPlan,
+                cfg: TrainConfig) -> tuple[dict, list, list[dict]]:
     net, adapters = clients[0].net, clients[0].adapters
     ledger: list[dict] = []
 

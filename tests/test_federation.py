@@ -1,3 +1,8 @@
+import copy
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,7 @@ from feddiv import federation
 from feddiv.adapter import make_adapters
 from feddiv.diversify import LossWeights, SamplingDistribution
 from feddiv.domains import Dataset, DomainSpec, apply_domain, generate_base
-from feddiv.errors import ConfigError, InputError, ProtocolError
+from feddiv.errors import ConfigError, FeddivError, InputError, ProtocolError
 from feddiv.federation import (ClientState, RoundPlan, ServerState, TrainConfig, aggregate,
                                aggregated_keys, bundle_layer_stats, evaluate_net,
                                extract_bundle, load_bundle, local_update, run_federation,
@@ -237,22 +242,70 @@ class TestLocalUpdate:
         assert next(scores, None) is None  # every accuracy was read
         assert sum(full) == snapshots
 
-    def test_adapter_steps_only_with_adapters_past_warmup(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(federation.adapter_mod, "adapter_train_step",
-                            lambda *a: calls.append(a))
+    def test_adapter_steps_only_with_adapters_past_warmup(self):
+        # The steps run in the adapter worker; the RNG state it hands back
+        # counts them: each step draws one (N, 1) normal per BN layer.
         plan = default_plan(iterations=3)
-        steps = []
+        cfg = default_cfg(adapter_warmup_rounds=1)
         for adapters, round_idx in [(False, 0), (False, 1), (True, 0), (True, 1)]:
             client = tiny_client(0, seed=9)
             if not adapters:
                 client.adapters = None
+            want = copy.deepcopy(client.adapter_rng)
+            if adapters and round_idx >= cfg.adapter_warmup_rounds:
+                for _ in range(plan.iterations * len(client.net.bn_layers())):
+                    want.standard_normal(size=(cfg.batch_size, 1))
             bundle = extract_bundle(client.net, client.adapters)
-            local_update(client, bundle, initial_stats(), plan,
-                         default_cfg(adapter_warmup_rounds=1), round_idx)
-            steps.append(len(calls))
-            calls.clear()
-        assert steps == [0, 0, 0, plan.iterations]
+            local_update(client, bundle, initial_stats(), plan, cfg, round_idx)
+            assert client.adapter_rng.bit_generator.state == want.bit_generator.state, \
+                (adapters, round_idx)
+
+    @pytest.mark.parametrize("error,raised", [(InputError("bad batch"), InputError),
+                                              (ValueError("bad batch"), FeddivError)])
+    def test_adapter_step_error_reaches_the_parent(self, monkeypatch, error, raised):
+        # Patched before the worker forks, so the worker inherits the patch.
+        steps = []
+
+        def third_step_fails(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                raise error
+
+        monkeypatch.setattr(federation.adapter_mod, "adapter_train_step", third_step_fails)
+        with pytest.raises(raised, match=r"client 3: adapter step at iteration 2 failed: "
+                                         r"(ValueError: )?bad batch") as info:
+            local_update(tiny_client(3, seed=2), random_bundle(6), initial_stats(),
+                         default_plan(4), default_cfg())
+        assert type(info.value) is raised
+        assert not multiprocessing.active_children()
+
+    def test_killed_worker_is_an_error(self, monkeypatch):
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(federation.adapter_mod, "adapter_train_step", killed)
+        with pytest.raises(FeddivError, match=r"client 0: adapter worker at iteration \d: "
+                                              r"the worker process exited \(exit code -9\)"):
+            local_update(tiny_client(0, seed=2), random_bundle(6), initial_stats(),
+                         default_plan(4), default_cfg())
+        assert not multiprocessing.active_children()
+
+    def test_parent_error_closes_the_worker(self, monkeypatch):
+        # The second validation of the run's first update raises.
+        calls = []
+
+        def evaluate(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise InputError("validation failed")
+            return 0.5
+
+        monkeypatch.setattr(federation, "evaluate_net", evaluate)
+        clients, server, plan, cfg, _, _ = build_federation(seed=1)
+        with pytest.raises(InputError, match="validation failed"):
+            run_federation(clients, server, plan, cfg)
+        assert not multiprocessing.active_children()
+        assert all(c.adapter_worker is None for c in clients)
 
     def test_fedprox_mu_zero_matches_fedavg(self):
         outs = []
@@ -572,6 +625,25 @@ class TestRunFederation:
             assert best1[k].tobytes() == best0[k].tobytes(), k
         for (m0, v0), (m1, v1) in zip(stats0, stats1):
             assert m1.tobytes() == m0.tobytes() and v1.tobytes() == v0.tobytes()
+
+    @pytest.mark.parametrize("adapters,warmup,forks", [(True, 0, 1), (True, 1, 1),
+                                                       (True, 2, 0), (False, 0, 0)])
+    def test_one_adapter_worker_per_run(self, monkeypatch, adapters, warmup, forks):
+        # Clients that share one network share the run's worker; it forks at
+        # the first update that steps the adapter, and is gone after the run.
+        clients, _, _, _, net, ad = build_federation(seed=2)
+        ad = ad if adapters else None
+        for c in clients:
+            c.net, c.adapters = net, ad
+        server = ServerState(extract_bundle(net, ad), seed=2)
+        forked = []
+        fork = federation.AdapterWorker._fork
+        monkeypatch.setattr(federation.AdapterWorker, "_fork",
+                            lambda worker, *args: forked.append(fork(worker, *args)))
+        run_federation(clients, server, default_plan(rounds=2),
+                       default_cfg(adapter_warmup_rounds=warmup))
+        assert len(forked) == forks
+        assert not multiprocessing.active_children()
 
     def test_client_sampling_subset(self):
         clients, server, plan, cfg, net, ad = build_federation(seed=5, rounds=2)
