@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .layers import BNMode, Linear, SmallConvNet
+from .layers import BNMode, Linear, SmallConvNet, instance_stats
 from .tensor import Tensor
 
 @dataclass
@@ -100,7 +100,7 @@ def learned_alphas(net: SmallConvNet, adapters: list[InstanceAdapter],
 
     def alpha_for(layer_idx: int, h: Tensor) -> Tensor:
         bn = bns[layer_idx]
-        mu_i, sigma_i = bn.instance_stats(h)
+        mu_i, sigma_i = instance_stats(h.data, bn.eps)
         sigma_g = np.sqrt(bn.global_var + bn.eps)
         delta, epsilon = adapters[layer_idx].forward(mu_i, sigma_i, bn.global_mean, sigma_g)
         if rng is None:

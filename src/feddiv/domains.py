@@ -88,8 +88,7 @@ def _shape_masks(kind: int, cx: np.ndarray, cy: np.ndarray, r: np.ndarray,
     return ((np.abs(dy - dx) <= 1) | (np.abs(dy + dx) <= 1)) & box
 
 
-def generate_base(n: int, classes: int, size: int = 16, seed: int = 0,
-                  channels: int = 3) -> Dataset:
+def generate_base(n: int, classes: int, size: int = 16, seed: int = 0) -> Dataset:
     """Balanced, deterministic pool of shape images on a neutral background.
 
     Image ``i`` has label ``i % classes`` and draws, in order, three jitter
@@ -97,8 +96,8 @@ def generate_base(n: int, classes: int, size: int = 16, seed: int = 0,
     pixel noise. Only those draws run per image; each shape kind is then
     painted for all its images at once.
 
-    The channels are one grey canvas: ``images`` is a read-only
-    ``(n, channels, size, size)`` view of one ``(n, size, size)`` array, with
+    The three channels are one grey canvas: ``images`` is a read-only
+    ``(n, 3, size, size)`` view of one ``(n, size, size)`` array, with
     channel stride 0. ``apply_domain`` reads it into a new array.
     """
     # Five shape kinds: a sixth class would draw the first class's images.
@@ -128,7 +127,7 @@ def generate_base(n: int, classes: int, size: int = 16, seed: int = 0,
     canvas = np.where(mask, 0.85, 0.15)
     canvas += noise
     np.clip(canvas, 0.0, 1.0, out=canvas)
-    return Dataset(np.broadcast_to(canvas[:, None], (n, channels, size, size)), labels)
+    return Dataset(np.broadcast_to(canvas[:, None], (n, 3, size, size)), labels)
 
 
 def apply_domain(dataset: Dataset, spec: DomainSpec) -> Dataset:

@@ -250,11 +250,11 @@ class ClientState:
     """One simulated client: its data, its local arrays, and private RNG streams.
 
     The clients of a run share one network and adapter set (``net``,
-    ``adapters``); ``local_update`` loads the server bundle into it with the
-    client's ``local`` arrays on top. ``local`` holds what the strategy keeps
-    on the client (see ``aggregated_keys``) as the client's last round left
-    it, and starts empty: every client starts from the server's initial
-    arrays.
+    ``adapters``), as ``run_federation`` checks; ``local_update`` loads the
+    server bundle into it with the client's ``local`` arrays on top.
+    ``local`` holds what the strategy keeps on the client (see
+    ``aggregated_keys``) as the client's last round left it, and starts
+    empty: every client starts from the server's initial arrays.
     """
 
     def __init__(self, client_id: int, train_data, val_data, net: SmallConvNet,
@@ -317,7 +317,7 @@ WORKER_CLOSE_TIMEOUT = 10.0
 
 
 class AdapterWorker:
-    """Runs a client's adapter steps in a forked process, one iteration behind.
+    """Runs the adapter steps of one network in a forked process, one iteration behind.
 
     Adapter step t and main step t+1 read the same weights, the ones SGD step
     t left, and they write disjoint state: the adapter step writes only the
@@ -326,31 +326,34 @@ class AdapterWorker:
     parent sends each adapter step and goes on with the next main step, and
     the bits are those of running the two in turn.
 
-    The process forks at the first ``begin`` and serves until ``close``. It
-    keeps a copy of the network and adapter set it forked with, and a client
-    with another set gets a new process. Everything an adapter step reads
-    comes in the messages: ``begin`` carries the adapter arrays, each BN
+    A worker serves one network and adapter set, the pair it is built with.
+    The process forks at the first ``begin`` and serves until ``close`` (or
+    the end of a ``with`` block). Everything an adapter step reads comes in
+    the messages: ``begin`` carries the client's adapter arrays, each BN
     layer's global statistics, the adapter RNG and learning rate; ``step``
     the main parameters after the SGD step and the batch. ``sync`` waits for
-    the steps sent so far and loads the adapter arrays they leave; ``end``
-    hands the advanced RNG state back to the client.
+    the steps sent so far and loads what they leave into the client: the
+    adapter arrays and the advanced RNG state.
     """
 
-    def __init__(self):
+    def __init__(self, net: SmallConvNet, adapters: list[InstanceAdapter]):
+        self._net, self._adapters = net, adapters
         self._conn = self._proc = None
-        self._net = self._adapters = None
         self._client: ClientState | None = None
         self._iteration = None  # of the last step sent
 
+    def __enter__(self) -> AdapterWorker:
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
     def begin(self, client: ClientState, lr: float):
-        if self._proc is not None and (client.net is not self._net
-                                       or client.adapters is not self._adapters):
-            self.close()
         if self._proc is None:
-            self._fork(client.net, client.adapters)
+            self._fork()
         self._client, self._iteration = client, None
-        self._send(("begin", [p.data for p in adapter_parameters(client.adapters).values()],
-                    [(bn.global_mean, bn.global_var) for bn in client.net.bn_layers()],
+        self._send(("begin", [p.data for p in adapter_parameters(self._adapters).values()],
+                    [(bn.global_mean, bn.global_var) for bn in self._net.bn_layers()],
                     client.adapter_rng, lr))
 
     def step(self, iteration: int, params: dict[str, Tensor], images: np.ndarray,
@@ -359,30 +362,29 @@ class AdapterWorker:
         self._send(("step", iteration, [p.data for p in params.values()], images, labels))
 
     def sync(self):
-        arrays = self._request("sync")
-        for p, a in zip(adapter_parameters(self._client.adapters).values(), arrays):
+        arrays, rng_state = self._request("sync")
+        for p, a in zip(adapter_parameters(self._adapters).values(), arrays):
             p.data = a
-
-    def end(self):
-        self._client.adapter_rng.bit_generator.state = self._request("end")
+        self._client.adapter_rng.bit_generator.state = rng_state
 
     def close(self):
         """Stop the process, if one runs; the next ``begin`` forks a new one."""
         if self._proc is None:
             return
         conn, proc = self._conn, self._proc
-        self._conn = self._proc = self._net = self._adapters = None
+        self._conn = self._proc = None
         conn.close()  # the worker reads EOF once it has run what it was sent
         proc.join(WORKER_CLOSE_TIMEOUT)
         if proc.exitcode is None:
             proc.terminate()
             proc.join()
 
-    def _fork(self, net: SmallConvNet, adapters: list[InstanceAdapter]):
+    def _fork(self):
         ctx = multiprocessing.get_context("fork")
         conn, worker_conn = ctx.Pipe()
         try:
-            proc = ctx.Process(target=_serve_adapter_steps, args=(worker_conn, conn, net, adapters),
+            proc = ctx.Process(target=_serve_adapter_steps,
+                               args=(worker_conn, conn, self._net, self._adapters),
                                name="feddiv-adapter-worker", daemon=True)
             proc.start()
         except BaseException:
@@ -390,7 +392,7 @@ class AdapterWorker:
             raise
         finally:
             worker_conn.close()
-        self._conn, self._proc, self._net, self._adapters = conn, proc, net, adapters
+        self._conn, self._proc = conn, proc
 
     def _send(self, message):
         try:
@@ -424,8 +426,9 @@ class AdapterWorker:
 def _serve_adapter_steps(conn, parent_conn, net: SmallConvNet, adapters: list[InstanceAdapter]):
     """The worker's loop: run what the parent sends until its end of the pipe closes.
 
-    A step that raises is reported at the next ``sync`` or ``end``, and the
-    steps after it are skipped until the next ``begin``.
+    A step that raises is reported at the next ``sync``, and the steps after
+    it are skipped until the next ``begin``. Otherwise ``sync`` answers with
+    the adapter arrays and the adapter RNG's state.
     """
     parent_conn.close()  # so that the parent's exit is an EOF here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and closes
@@ -460,10 +463,8 @@ def _serve_adapter_steps(conn, parent_conn, net: SmallConvNet, adapters: list[In
                     failure = (iteration, type(exc).__name__, str(exc), traceback.format_exc())
             elif failure is not None:
                 conn.send(("error", failure))
-            elif kind == "sync":
-                conn.send(("ok", [p.data for p in adapter_params]))
-            else:
-                conn.send(("ok", rng.bit_generator.state))
+            else:  # sync
+                conn.send(("ok", ([p.data for p in adapter_params], rng.bit_generator.state)))
     except (EOFError, OSError):
         return  # the parent closed its end of the pipe, or exited
 
@@ -485,17 +486,17 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, plan: R
 
     Trains ``client.net``, which the clients of a run share, and leaves the
     arrays the strategy keeps local in ``client.local``. The adapter steps
-    when the client has adapters and the round is past warm-up; its steps
-    run on ``client.adapter_worker``, or on a worker opened for this call.
+    when the client has adapters, the round is past warm-up and it has an
+    iteration; its steps run on ``client.adapter_worker``, or on a worker
+    opened for this call.
     """
-    if client.adapters is None or round_idx < cfg.adapter_warmup_rounds:
+    if client.adapters is None or round_idx < cfg.adapter_warmup_rounds or plan.iterations == 0:
         return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx, None)
-    worker = client.adapter_worker or AdapterWorker()
-    try:
+    if client.adapter_worker is not None:  # run_federation closes the run's worker
+        return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx,
+                              client.adapter_worker)
+    with AdapterWorker(client.net, client.adapters) as worker:
         return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx, worker)
-    finally:
-        if worker is not client.adapter_worker:  # run_federation closes the run's worker
-            worker.close()
 
 
 def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan: RoundPlan,
@@ -568,7 +569,9 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan:
 
         if (it + 1) % plan.val_every == 0 or it == plan.iterations - 1:
             # The snapshot below holds the adapter arrays of this iteration,
-            # and validation gets the machine to itself.
+            # and validation gets the machine to itself. The last iteration
+            # always gets here, so the client leaves with the adapter RNG
+            # state of its last step.
             if worker is not None:
                 worker.sync()
             acc = evaluate_net(client.net, client.adapters, client.val_data, "eval_global")
@@ -576,8 +579,6 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan:
                 best_val = acc
                 best_bundle = extract_bundle(client.net, client.adapters)
 
-    if worker is not None:
-        worker.end()
     if best_bundle is None:
         best_bundle = extract_bundle(client.net, client.adapters)
     aggregated = set(aggregated_keys(server_bundle, cfg.strategy))
@@ -653,21 +654,26 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
                    cfg: TrainConfig) -> tuple[dict, list, list[dict]]:
     """Run the full protocol; returns (best bundle, best stats, ledger rows).
 
-    Clients train, upload and are scored in id order. Server validation runs
-    on the network and adapters the clients share.
+    The clients share one network and adapter set, on which server
+    validation runs too; clients train, upload and are scored in id order.
     """
     if not clients:
         raise ProtocolError("run_federation: need at least one client")
     clients = sorted(clients, key=lambda c: c.client_id)
-    worker = AdapterWorker()  # forks at the first update that steps the adapter
+    net, adapters = clients[0].net, clients[0].adapters
     for c in clients:
-        c.adapter_worker = worker
-    try:
-        return _run_rounds(clients, server, plan, cfg)
-    finally:
-        worker.close()
+        if c.net is not net or c.adapters is not adapters:
+            raise ProtocolError(f"run_federation: client {c.client_id} does not share client "
+                                f"{clients[0].client_id}'s network and adapter set")
+    # Forks at the first update that steps the adapter.
+    with AdapterWorker(net, adapters) as worker:
         for c in clients:
-            c.adapter_worker = None
+            c.adapter_worker = worker
+        try:
+            return _run_rounds(clients, server, plan, cfg)
+        finally:
+            for c in clients:
+                c.adapter_worker = None
 
 
 def _run_rounds(clients: list[ClientState], server: ServerState, plan: RoundPlan,

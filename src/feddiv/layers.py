@@ -42,18 +42,12 @@ def instance_stats(x: np.ndarray, eps: float = EPS) -> tuple[np.ndarray, np.ndar
 
     Plain-array variant used outside autodiff (adapter inputs, oracles).
     """
-    return _instance_stats(x, eps)[1]
-
-
-def _instance_stats(x: np.ndarray, eps: float):
-    """``(tensor._instance_moments(x, eps), instance_stats(x, eps))``."""
     if x.ndim != 4:
         raise InputError(f"instance_stats: need NCHW input, got shape {x.shape}")
     if x.shape[2] * x.shape[3] < 2:
         raise InputError("instance_stats: spatial size must be >= 2, std undefined for 1 pixel")
-    moments = T._instance_moments(x, eps)
-    mu, _, sigma = moments
-    return moments, (mu.reshape(x.shape[:2]), sigma.reshape(x.shape[:2]))
+    mu, _, sigma = T._instance_moments(x, eps)
+    return mu.reshape(x.shape[:2]), sigma.reshape(x.shape[:2])
 
 
 class DualBNLayer:
@@ -71,9 +65,6 @@ class DualBNLayer:
         self.global_mean = np.zeros(channels)
         self.global_var = np.ones(channels)
         self.global_initialized = False
-        # (input array, its instance moments) from ``instance_stats``, kept
-        # for the ``forward_blend`` of that input that follows.
-        self._held_moments = None
 
     def set_global_stats(self, mean: np.ndarray, var: np.ndarray):
         if np.any(np.asarray(var) < 0):
@@ -102,29 +93,17 @@ class DualBNLayer:
         """Pure normalization by the injected global statistics."""
         return self.forward_blend(x, _GLOBAL_ONLY)
 
-    def instance_stats(self, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        """``instance_stats(x.data)``, each (N, C), at this layer's eps.
-
-        The next ``forward_blend`` of ``x`` reuses the moments behind them
-        instead of computing them again.
-        """
-        moments, stats = _instance_stats(x.data, self.eps)
-        self._held_moments = (x.data, moments)
-        return stats
-
     def forward_blend(self, x: Tensor, w: Tensor) -> Tensor:
         """Normalize by ``w * instance + (1 - w) * global`` statistics.
 
         ``w`` broadcasts against (N, C, 1, 1) and may carry gradients.
         """
-        held, self._held_moments = self._held_moments, None
-        moments = held[1] if held is not None and held[0] is x.data else None
         if not self.global_initialized:
             raise UninitializedStatisticsError("global BN statistics were never set on this layer")
         c = self.channels
         return T.blend_normalize(x, w, self.global_mean.reshape(1, c, 1, 1),
                                  np.sqrt(self.global_var + self.eps).reshape(1, c, 1, 1),
-                                 self.gamma, self.beta, self.eps, moments)
+                                 self.gamma, self.beta, self.eps)
 
 
 class Conv2dLayer:

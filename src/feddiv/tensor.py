@@ -379,7 +379,7 @@ def _instance_moments(x: np.ndarray, eps: float):
 
 
 def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
-                    gamma: Tensor, beta: Tensor, eps: float, moments=None) -> Tensor:
+                    gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize by ``w * instance + (1 - w) * global`` statistics, one tape node.
 
     Instance statistics are each sample's per-channel spatial mean and std
@@ -394,8 +394,7 @@ def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
     ``gamma`` and ``beta``.
 
     Instance statistics are computed only when they carry weight or ``w``
-    needs a gradient; otherwise the spatial size may be 1. A caller that
-    already holds ``_instance_moments(x.data, eps)`` passes it as ``moments``.
+    needs a gradient; otherwise the spatial size may be 1.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"blend_normalize: need NCHW input, got {x.shape}")
@@ -408,7 +407,7 @@ def blend_normalize(x: Tensor, w: Tensor, mu_g: np.ndarray, sigma_g: np.ndarray,
         if m < 2:
             raise InputError("blend_normalize: spatial size must be >= 2, std undefined "
                              "for 1 pixel")
-        mu_i, xm, sigma_i = moments if moments is not None else _instance_moments(x.data, eps)
+        mu_i, xm, sigma_i = _instance_moments(x.data, eps)
         one_minus = 1.0 - wv
         # Where w == 0 the instance statistics get no weight, not 0 times their
         # value: an overflowing instance std would make that 0 * inf = NaN. The

@@ -203,6 +203,15 @@ def initial_stats():
     return [(np.zeros(4), np.ones(4))]
 
 
+def count_forks(monkeypatch):
+    """The list that gets one entry per adapter worker process forked."""
+    forked = []
+    fork = federation.AdapterWorker._fork
+    monkeypatch.setattr(federation.AdapterWorker, "_fork",
+                        lambda worker: forked.append(fork(worker)))
+    return forked
+
+
 class TestLocalUpdate:
     def test_zero_iterations_returns_loaded_bundle(self):
         # No validation runs, so the upload is the snapshot taken after the
@@ -242,9 +251,17 @@ class TestLocalUpdate:
         assert next(scores, None) is None  # every accuracy was read
         assert sum(full) == snapshots
 
+    def test_zero_iteration_round_forks_no_worker(self, monkeypatch):
+        forked = count_forks(monkeypatch)
+        client = tiny_client(0, seed=1)
+        state = copy.deepcopy(client.adapter_rng.bit_generator.state)
+        local_update(client, random_bundle(5), initial_stats(), default_plan(0), default_cfg())
+        assert forked == []
+        assert client.adapter_rng.bit_generator.state == state
+
     def test_adapter_steps_only_with_adapters_past_warmup(self):
-        # The steps run in the adapter worker; the RNG state it hands back
-        # counts them: each step draws one (N, 1) normal per BN layer.
+        # The steps run in the adapter worker; the RNG state its last sync
+        # hands back counts them: each step draws one (N, 1) normal per BN layer.
         plan = default_plan(iterations=3)
         cfg = default_cfg(adapter_warmup_rounds=1)
         for adapters, round_idx in [(False, 0), (False, 1), (True, 0), (True, 1)]:
@@ -532,13 +549,15 @@ class TestEvaluate:
 
 
 def build_federation(seed=0, n_clients=3, rounds=2, iterations=4):
+    """Clients on one shared network and adapter set, as ``run_federation`` needs."""
     clients = [tiny_client(i, seed=seed) for i in range(n_clients)]
-    template = SmallConvNet(seed=seed, **MODEL)
-    template_adapters = make_adapters(template, 8, seed=seed)
-    server = ServerState(extract_bundle(template, template_adapters), seed=seed)
+    net, adapters = clients[0].net, clients[0].adapters
+    for c in clients:
+        c.net, c.adapters = net, adapters
+    server = ServerState(extract_bundle(net, adapters), seed=seed)
     plan = default_plan(iterations, rounds)
     cfg = default_cfg()
-    return clients, server, plan, cfg, template, template_adapters
+    return clients, server, plan, cfg, net, adapters
 
 
 class TestRunFederation:
@@ -552,10 +571,10 @@ class TestRunFederation:
 
     def test_identical_datasets_symmetry(self):
         clients = [tiny_client(0, seed=3) for _ in range(2)]
-        for i, c in enumerate(clients):
-            c.client_id = i
         template = SmallConvNet(seed=3, **MODEL)
         ad = make_adapters(template, 8, seed=3)
+        for i, c in enumerate(clients):
+            c.client_id, c.net, c.adapters = i, template, ad
         server = ServerState(extract_bundle(template, ad), seed=3)
         _, _, ledger = run_federation(clients, server, default_plan(), default_cfg())
         accs = [r["accuracy"] for r in ledger if r["split"] == "server_val"]
@@ -602,44 +621,29 @@ class TestRunFederation:
         with pytest.raises(ProtocolError):
             run_federation([], server, default_plan(), default_cfg())
 
-    @pytest.mark.parametrize("participants", [None, 2])
-    @pytest.mark.parametrize("strategy", federation.STRATEGIES)
-    def test_shared_net_equals_own_nets(self, strategy, participants):
-        # Between rounds a client keeps only what its strategy leaves local,
-        # so clients that share one network train as clients that own one.
-        runs = []
-        for shared in (False, True):
-            clients, server, _, _, net, ad = build_federation(seed=6, rounds=3)
-            if shared:
-                for c in clients:
-                    c.net, c.adapters = net, ad
-            plan = default_plan(iterations=4, rounds=3, participants_per_round=participants)
-            best, stats, ledger = run_federation(clients, server, plan,
-                                                 default_cfg(strategy=strategy))
-            runs.append((best, stats, ledger, server.best_round))
-        (best0, stats0, ledger0, round0), (best1, stats1, ledger1, round1) = runs
-        assert ledger1 == ledger0
-        assert round1 == round0
-        assert list(best1) == list(best0)
-        for k in best0:
-            assert best1[k].tobytes() == best0[k].tobytes(), k
-        for (m0, v0), (m1, v1) in zip(stats0, stats1):
-            assert m1.tobytes() == m0.tobytes() and v1.tobytes() == v0.tobytes()
+    @pytest.mark.parametrize("own", ["net", "adapters", "no adapters"])
+    def test_clients_on_other_networks_rejected(self, own):
+        # Server validation runs on the network and adapters the clients share.
+        clients, server, plan, cfg, _, _ = build_federation(seed=6)
+        other = tiny_client(1, seed=6)
+        if own == "net":
+            clients[1].net = other.net
+        else:
+            clients[1].adapters = other.adapters if own == "adapters" else None
+        with pytest.raises(ProtocolError, match="client 1 does not share client 0's network"):
+            run_federation(clients, server, plan, cfg)
 
     @pytest.mark.parametrize("adapters,warmup,forks", [(True, 0, 1), (True, 1, 1),
                                                        (True, 2, 0), (False, 0, 0)])
     def test_one_adapter_worker_per_run(self, monkeypatch, adapters, warmup, forks):
-        # Clients that share one network share the run's worker; it forks at
-        # the first update that steps the adapter, and is gone after the run.
+        # The run's one worker forks at the first update that steps the
+        # adapter, and is gone after the run.
         clients, _, _, _, net, ad = build_federation(seed=2)
         ad = ad if adapters else None
         for c in clients:
-            c.net, c.adapters = net, ad
+            c.adapters = ad
         server = ServerState(extract_bundle(net, ad), seed=2)
-        forked = []
-        fork = federation.AdapterWorker._fork
-        monkeypatch.setattr(federation.AdapterWorker, "_fork",
-                            lambda worker, *args: forked.append(fork(worker, *args)))
+        forked = count_forks(monkeypatch)
         run_federation(clients, server, default_plan(rounds=2),
                        default_cfg(adapter_warmup_rounds=warmup))
         assert len(forked) == forks

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import feddiv.tensor as T
-from feddiv.adapter import learned_alphas, make_adapters
 from feddiv.errors import ConfigError, InputError, UninitializedStatisticsError
 from feddiv.layers import BNMode, DualBNLayer, SmallConvNet, instance_stats
 from feddiv.tensor import Tensor
@@ -244,29 +243,6 @@ class TestGlobalOnlyBlend:
         assert len(calls) == 1
         bn.forward_blend(x, Tensor(np.zeros((4, 1, 1, 1)), requires_grad=True))
         assert len(calls) == 2
-
-    def test_adapter_forward_takes_the_moments_once_per_layer(self, monkeypatch):
-        # The alpha provider and the blend of each layer share one
-        # _instance_moments call.
-        net = SmallConvNet(in_channels=3, widths=(4, 8, 8), num_classes=5, seed=0)
-        adapters = make_adapters(net, 8, seed=0)
-        rng = np.random.default_rng(24)
-        for layer in net.bn_layers():
-            layer.set_global_stats(rng.uniform(-1, 1, layer.channels),
-                                   rng.uniform(0.5, 2, layer.channels))
-        x = Tensor(rng.uniform(0, 1, (4, 3, 16, 16)))
-        calls = self.count_moments(monkeypatch)
-        net.forward(x, BNMode.INTERPOLATED_ADAPTER,
-                    learned_alphas(net, adapters, np.random.default_rng(1)))
-        assert len(calls) == len(net.bn_layers())
-
-    def test_held_moments_serve_only_their_own_input(self):
-        bn, rng = self.make_bn(25)
-        x, other = (Tensor(rng.uniform(-2, 2, (4, 3, 5, 5))) for _ in range(2))
-        w = Tensor(rng.uniform(0, 1, (4, 1, 1, 1)))
-        want = bn.forward_blend(other, w).data
-        bn.instance_stats(x)
-        assert bn.forward_blend(other, w).data.tobytes() == want.tobytes()
 
     def test_one_pixel_map(self):
         bn, rng = self.make_bn(23)
