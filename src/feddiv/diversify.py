@@ -29,9 +29,11 @@ class SamplingDistribution:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "fixed"):
-            raise ConfigError(f"unknown sampling distribution kind: {self.kind!r}")
+            raise ConfigError(f"diversify.distribution: unknown sampling distribution kind "
+                              f"{self.kind!r}, expected one of ('uniform', 'fixed')")
         if self.kind == "uniform" and self.high < self.low:
-            raise ConfigError(f"uniform bounds reversed: ({self.low}, {self.high})")
+            raise ConfigError(f"diversify.low, diversify.high: uniform bounds reversed "
+                              f"({self.low}, {self.high})")
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "fixed":
@@ -39,16 +41,18 @@ class SamplingDistribution:
         return rng.uniform(self.low, self.high, size=size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
-    lambda1: float
-    lambda2: float
+    """The ``loss`` config section: the weights of the diversified terms."""
+
+    lambda1: float = 0.1
+    lambda2: float = 4.0
 
     def __post_init__(self):
         if not 0.0 <= self.lambda1 <= 1.0:
-            raise ConfigError(f"lambda1 must be in [0,1], got {self.lambda1}")
+            raise ConfigError(f"loss.lambda1 must be in [0, 1], got {self.lambda1!r}")
         if self.lambda2 < 0.0:
-            raise ConfigError(f"lambda2 must be >= 0, got {self.lambda2}")
+            raise ConfigError(f"loss.lambda2 must be >= 0, got {self.lambda2!r}")
 
 
 def sample_mix_context(net: SmallConvNet, distribution: SamplingDistribution,

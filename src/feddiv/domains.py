@@ -2,16 +2,23 @@
 
 Classes are procedural geometric shapes with positional jitter; domains are
 per-channel affine transforms plus sinusoidal texture noise, the family of
-shifts that normalization statistics capture directly.
+shifts that normalization statistics capture directly. ``build_benchmark``
+and ``partition`` take the ``benchmark`` config section
+(``config.BenchmarkConfig``), which checks the domain count, the held-out
+index and the split's keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import InputError
+
+if TYPE_CHECKING:
+    from .config import BenchmarkConfig
 
 
 @dataclass
@@ -43,23 +50,6 @@ class DomainSpec:
             raise InputError(f"domain gains must be positive, got {self.gain}")
         if self.gain_jitter < 0 or self.gain_jitter >= 1 or self.bias_jitter < 0:
             raise InputError("gain_jitter must lie in [0, 1), bias_jitter must be >= 0")
-
-
-@dataclass
-class PartitionSpec:
-    """How each domain's samples split across its clients."""
-
-    mode: str  # "iid" | "dirichlet"
-    alpha: float  # Dirichlet concentration; unused by "iid"
-    n_clients: int
-
-    def __post_init__(self):
-        if self.mode not in ("iid", "dirichlet"):
-            raise ConfigError(f"unknown partition mode {self.mode!r}")
-        if self.mode == "dirichlet" and not self.alpha > 0:
-            raise ConfigError(f"dirichlet alpha must be > 0, got {self.alpha}")
-        if self.n_clients < 1:
-            raise ConfigError(f"need at least one client per domain, got {self.n_clients}")
 
 
 def _shape_masks(kind: int, cx: np.ndarray, cy: np.ndarray, r: np.ndarray,
@@ -157,46 +147,48 @@ def apply_domain(dataset: Dataset, spec: DomainSpec) -> Dataset:
     return Dataset(out, dataset.labels.copy())
 
 
-def partition(labels: np.ndarray, spec: PartitionSpec, seed: int) -> list[np.ndarray]:
+def partition(labels: np.ndarray, spec: BenchmarkConfig, seed: int) -> list[np.ndarray]:
     """Each client's sample indices, sorted: IID or Dirichlet-skewed by label.
 
-    A client needs one training and one validation sample, so each gets at
-    least 2; a split that cannot give them raises ``InputError``.
+    Splits ``labels`` across ``spec.clients_per_domain`` clients by
+    ``spec.partition``. A client needs one training and one validation
+    sample, so each gets at least 2; a split that cannot give them raises
+    ``InputError``.
     """
-    n = len(labels)
-    if n < spec.n_clients:
-        raise InputError(f"cannot split {n} samples across {spec.n_clients} clients")
+    n, n_clients = len(labels), spec.clients_per_domain
+    if n < n_clients:
+        raise InputError(f"cannot split {n} samples across {n_clients} clients")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 733]))
     # Not np.unique: it imports numpy.ma, about 1 MB of resident modules
     # that nothing else in a run loads.
     classes = sorted(set(labels.tolist()))
-    client_indices: list[list[int]] = [[] for _ in range(spec.n_clients)]
+    client_indices: list[list[int]] = [[] for _ in range(n_clients)]
 
-    if spec.mode == "iid":
+    if spec.partition == "iid":
         # stratified round-robin: per-client class histograms match within 1
         for offset, cls in enumerate(classes):
             idx = rng.permutation(np.flatnonzero(labels == cls))
             for i, sample in enumerate(idx):
-                client_indices[(i + offset) % spec.n_clients].append(int(sample))
+                client_indices[(i + offset) % n_clients].append(int(sample))
         if min(map(len, client_indices)) < 2:
-            raise InputError(f"an IID split of {n} samples leaves one of {spec.n_clients} "
+            raise InputError(f"an IID split of {n} samples leaves one of {n_clients} "
                              f"clients fewer than 2")
     else:
         # A split that leaves a client fewer than 2 samples is redrawn whole
         # from the same stream.
         for _ in range(100):
-            client_indices = [[] for _ in range(spec.n_clients)]
+            client_indices = [[] for _ in range(n_clients)]
             for cls in classes:
                 idx = rng.permutation(np.flatnonzero(labels == cls))
-                props = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
+                props = rng.dirichlet(np.full(n_clients, spec.dirichlet_alpha))
                 cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
                 for j, chunk in enumerate(np.split(idx, cuts)):
                     client_indices[j].extend(chunk.tolist())
             if min(map(len, client_indices)) >= 2:
                 break
         else:
-            raise InputError(f"no Dirichlet split (alpha={spec.alpha}) in 100 draws gives "
-                             f"each of {spec.n_clients} clients 2 of {n} samples")
+            raise InputError(f"no Dirichlet split (alpha={spec.dirichlet_alpha}) in 100 draws "
+                             f"gives each of {n_clients} clients 2 of {n} samples")
     return [np.sort(np.asarray(idx, dtype=np.int64)) for idx in client_indices]
 
 
@@ -232,41 +224,35 @@ class Benchmark:
     test_set: Dataset
 
 
-def build_benchmark(n_domains: int, held_out: int, samples_per_client: int, classes: int,
-                    size: int, seed: int, val_fraction: float, test_samples: int,
-                    partition_spec: PartitionSpec) -> Benchmark:
+def build_benchmark(spec: BenchmarkConfig, seed: int) -> Benchmark:
     """Generate the full leave-one-domain-out benchmark deterministically.
 
-    Domain ``held_out`` of ``domain_specs(n_domains)`` is the test set, and
-    ``partition_spec`` splits each other domain across its clients. The
-    held-out set is built first, while nothing else is resident, and every
-    client's train and val arrays are copied once, straight from its shifted
-    domain. Each draw has its own seed, so the order changes no bit.
+    Domain ``spec.held_out_domain`` of ``domain_specs(spec.domains)`` is the
+    test set, and ``partition`` splits each other domain across its clients.
+    The held-out set is built first, while nothing else is resident, and
+    every client's train and val arrays are copied once, straight from its
+    shifted domain. Each draw has its own seed, so the order changes no bit.
     """
-    if n_domains < 2:
-        raise InputError("need at least 2 domains for leave-one-domain-out")
-    if not 0 <= held_out < n_domains:
-        raise InputError(f"held-out domain {held_out} not in [0, {n_domains})")
-
-    specs = domain_specs(n_domains)
-    test_set = apply_domain(generate_base(test_samples, classes, size, seed=seed * 1000 + 777),
-                            specs[held_out])
+    specs = domain_specs(spec.domains)
+    held_out, classes, size = spec.held_out_domain, spec.classes, spec.image_size
+    test_set = apply_domain(
+        generate_base(spec.test_samples, classes, size, seed=seed * 1000 + 777), specs[held_out])
 
     train_clients = []
-    for spec in specs:
-        if spec.domain_id == held_out:
+    for domain in specs:
+        if domain.domain_id == held_out:
             continue
-        domain_seed = seed * 1000 + spec.domain_id
-        total = samples_per_client * partition_spec.n_clients
-        shifted = apply_domain(generate_base(total, classes, size, seed=domain_seed), spec)
-        for idx in partition(shifted.labels, partition_spec, seed=domain_seed):
+        domain_seed = seed * 1000 + domain.domain_id
+        total = spec.samples_per_client * spec.clients_per_domain
+        shifted = apply_domain(generate_base(total, classes, size, seed=domain_seed), domain)
+        for idx in partition(shifted.labels, spec, seed=domain_seed):
             # Every split gives a client 2 samples or more; one stays for training.
-            n_val = min(max(1, int(round(len(idx) * val_fraction))), len(idx) - 1)
+            n_val = min(max(1, int(round(len(idx) * spec.val_fraction))), len(idx) - 1)
             rng = np.random.default_rng(
-                np.random.SeedSequence([seed, spec.domain_id, len(train_clients), 271]))
+                np.random.SeedSequence([seed, domain.domain_id, len(train_clients), 271]))
             perm = rng.permutation(len(idx))
             train_clients.append({
-                "domain_id": spec.domain_id,
+                "domain_id": domain.domain_id,
                 "train": shifted.subset(idx[np.sort(perm[n_val:])]),
                 "val": shifted.subset(idx[np.sort(perm[:n_val])]),
             })

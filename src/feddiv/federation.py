@@ -5,6 +5,8 @@ weighted-averages the strategy's share of the arrays, synthesizes global BN
 statistics from the uploaded running buffers, and keeps the round whose mean
 participant validation accuracy is highest. A client's adapter steps run on
 a forked worker process, one iteration behind its main steps (``AdapterWorker``).
+``run_federation`` takes the config tree (``config.Config``) and hands each
+``local_update`` the tree's ``federation`` section and the tree.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import logging
 import multiprocessing
 import signal
 import traceback
-from dataclasses import dataclass
 from multiprocessing.pool import RemoteTraceback
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,10 +24,13 @@ from . import adapter as adapter_mod
 from . import errors
 from . import tensor as T
 from .adapter import InstanceAdapter, adapter_parameters, learned_alphas
-from .diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
+from .diversify import local_loss, sample_mix_context
 from .errors import ConfigError, FeddivError, InputError, ProtocolError
 from .layers import BNMode, SmallConvNet
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .config import Config, FederationConfig
 
 log = logging.getLogger(__name__)
 
@@ -191,60 +196,7 @@ class SGD:
             p.data = p.data - self.lr * v
 
 
-# -- configuration and state -----------------------------------------------
-
-@dataclass
-class RoundPlan:
-    rounds: int
-    iterations: int
-    val_every: int
-    participants_per_round: int | None  # None = all clients
-
-    def __post_init__(self):
-        if self.rounds < 0 or self.iterations < 0:
-            raise ConfigError(f"rounds and iterations must be >= 0, "
-                              f"got {self.rounds} and {self.iterations}")
-        if self.val_every < 1:
-            raise ConfigError(f"val_every must be >= 1, got {self.val_every}")
-        if self.participants_per_round is not None and self.participants_per_round < 1:
-            raise ConfigError(f"participants_per_round must be >= 1 or null, "
-                              f"got {self.participants_per_round}")
-
-
-@dataclass
-class TrainConfig:
-    strategy: str
-    lr: float
-    momentum: float
-    batch_size: int
-    diversify: bool
-    distribution: SamplingDistribution
-    loss_weights: LossWeights
-    adapter_warmup_rounds: int
-    adapter_lr: float
-    prox_mu: float
-    stop_gradient_features: bool
-    stat_aggregation: str
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.stat_aggregation not in STAT_AGGREGATIONS:
-            raise ConfigError(f"unknown stat_aggregation method {self.stat_aggregation!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not self.adapter_lr > 0:
-            raise ConfigError(f"adapter_lr must be positive, got {self.adapter_lr}")
-        if not self.prox_mu >= 0:
-            raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.adapter_warmup_rounds < 0:
-            raise ConfigError(
-                f"adapter_warmup_rounds must be >= 0, got {self.adapter_warmup_rounds}")
-
+# -- client and server state ------------------------------------------------
 
 class ClientState:
     """One simulated client: its data, its local arrays, and private RNG streams.
@@ -480,27 +432,29 @@ def _prox_penalty(params: dict[str, Tensor], reference: dict[str, np.ndarray],
     return T.mul(Tensor(mu / 2.0), total)
 
 
-def local_update(client: ClientState, server_bundle: dict, global_stats, plan: RoundPlan,
-                 cfg: TrainConfig, round_idx: int = 0) -> tuple[dict, dict]:
+def local_update(client: ClientState, server_bundle: dict, global_stats, fed: FederationConfig,
+                 cfg: Config, round_idx: int = 0) -> tuple[dict, dict]:
     """One round of local training; returns (best snapshot, metrics).
 
-    Trains ``client.net``, which the clients of a run share, and leaves the
-    arrays the strategy keeps local in ``client.local``. The adapter steps
-    when the client has adapters, the round is past warm-up and it has an
-    iteration; its steps run on ``client.adapter_worker``, or on a worker
-    opened for this call.
+    ``fed`` is the federation section, and ``cfg`` the tree it came from,
+    which gives the diversify, loss and adapter sections. Trains
+    ``client.net``, which the clients of a run share, and leaves the arrays
+    the strategy keeps local in ``client.local``. The adapter steps when the
+    client has adapters, the round is past warm-up and it has an iteration;
+    its steps run on ``client.adapter_worker``, or on a worker opened for
+    this call.
     """
-    if client.adapters is None or round_idx < cfg.adapter_warmup_rounds or plan.iterations == 0:
-        return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx, None)
+    if client.adapters is None or round_idx < cfg.adapter.warmup_rounds or fed.iterations == 0:
+        return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx, None)
     if client.adapter_worker is not None:  # run_federation closes the run's worker
-        return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx,
+        return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx,
                               client.adapter_worker)
     with AdapterWorker(client.net, client.adapters) as worker:
-        return _train_locally(client, server_bundle, global_stats, plan, cfg, round_idx, worker)
+        return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx, worker)
 
 
-def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan: RoundPlan,
-                   cfg: TrainConfig, round_idx: int,
+def _train_locally(client: ClientState, server_bundle: dict, global_stats,
+                   fed: FederationConfig, cfg: Config, round_idx: int,
                    worker: AdapterWorker | None) -> tuple[dict, dict]:
     """``local_update``'s training; ``worker`` runs the adapter steps, if any."""
     load_bundle(client.net, client.adapters, {**server_bundle, **client.local})
@@ -523,10 +477,10 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan:
 
     main_params = client.net.parameters()
     prox_ref = ({k: p.data.copy() for k, p in main_params.items()}
-                if cfg.strategy == "fedprox" else None)
-    optimizer = SGD(main_params, lr=cfg.lr, momentum=cfg.momentum)
+                if fed.strategy == "fedprox" else None)
+    optimizer = SGD(main_params, lr=fed.lr, momentum=fed.momentum)
     if worker is not None:
-        worker.begin(client, cfg.adapter_lr)
+        worker.begin(client, cfg.adapter.lr)
 
     # The last iteration always validates and any accuracy beats -inf, so the
     # first validation takes the first snapshot; only a zero-iteration round
@@ -535,21 +489,21 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan:
     best_bundle = None
     loss_sums = {"ce": 0.0, "cacl": 0.0, "cafl": 0.0, "total": 0.0}
 
-    for it in range(plan.iterations):
-        images, labels = client.next_batch(cfg.batch_size)
+    for it in range(fed.iterations):
+        images, labels = client.next_batch(fed.batch_size)
         batch = Tensor(images)
 
-        if cfg.diversify:
-            ctx = sample_mix_context(client.net, cfg.distribution, client.rng)
-            total, comps = local_loss(client.net, batch, labels, ctx, cfg.loss_weights,
-                                      cfg.stop_gradient_features)
+        if cfg.diversify.enabled:
+            ctx = sample_mix_context(client.net, cfg.diversify.sampling, client.rng)
+            total, comps = local_loss(client.net, batch, labels, ctx, cfg.loss,
+                                      cfg.diversify.stop_gradient_features)
         else:
             _, logits = client.net.forward(batch, BNMode.TRAIN_BATCH)
             total = T.softmax_cross_entropy(logits, labels)
             comps = {"ce": float(total.data), "cacl": 0.0, "cafl": 0.0}
 
-        if cfg.strategy == "fedprox" and cfg.prox_mu > 0:
-            total = T.add(total, _prox_penalty(main_params, prox_ref, cfg.prox_mu))
+        if fed.strategy == "fedprox" and fed.prox_mu > 0:
+            total = T.add(total, _prox_penalty(main_params, prox_ref, fed.prox_mu))
 
         if not np.isfinite(total.data):
             raise FeddivError(
@@ -567,7 +521,7 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan:
         if worker is not None:
             worker.step(it, main_params, images, labels)
 
-        if (it + 1) % plan.val_every == 0 or it == plan.iterations - 1:
+        if (it + 1) % fed.val_every == 0 or it == fed.iterations - 1:
             # The snapshot below holds the adapter arrays of this iteration,
             # and validation gets the machine to itself. The last iteration
             # always gets here, so the client leaves with the adapter RNG
@@ -581,10 +535,10 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats, plan:
 
     if best_bundle is None:
         best_bundle = extract_bundle(client.net, client.adapters)
-    aggregated = set(aggregated_keys(server_bundle, cfg.strategy))
+    aggregated = set(aggregated_keys(server_bundle, fed.strategy))
     client.local = extract_bundle(client.net, client.adapters,
                                   [k for k in server_bundle if k not in aggregated])
-    iters = max(plan.iterations, 1)
+    iters = max(fed.iterations, 1)
     return best_bundle, {k: v / iters for k, v in loss_sums.items()}
 
 
@@ -650,8 +604,8 @@ def evaluate_net(net: SmallConvNet, adapters, dataset, inference_mode: str,
 
 # -- federation loop ----------------------------------------------------------
 
-def run_federation(clients: list[ClientState], server: ServerState, plan: RoundPlan,
-                   cfg: TrainConfig) -> tuple[dict, list, list[dict]]:
+def run_federation(clients: list[ClientState], server: ServerState,
+                   cfg: Config) -> tuple[dict, list, list[dict]]:
     """Run the full protocol; returns (best bundle, best stats, ledger rows).
 
     The clients share one network and adapter set, on which server
@@ -670,35 +624,36 @@ def run_federation(clients: list[ClientState], server: ServerState, plan: RoundP
         for c in clients:
             c.adapter_worker = worker
         try:
-            return _run_rounds(clients, server, plan, cfg)
+            return _run_rounds(clients, server, cfg)
         finally:
             for c in clients:
                 c.adapter_worker = None
 
 
-def _run_rounds(clients: list[ClientState], server: ServerState, plan: RoundPlan,
-                cfg: TrainConfig) -> tuple[dict, list, list[dict]]:
+def _run_rounds(clients: list[ClientState], server: ServerState,
+                cfg: Config) -> tuple[dict, list, list[dict]]:
     net, adapters = clients[0].net, clients[0].adapters
+    fed = cfg.federation
     ledger: list[dict] = []
 
-    for rnd in range(plan.rounds):
-        if plan.participants_per_round is None or plan.participants_per_round >= len(clients):
+    for rnd in range(fed.rounds):
+        if fed.participants_per_round is None or fed.participants_per_round >= len(clients):
             participants = clients
         else:
-            picks = server.rng.choice(len(clients), size=plan.participants_per_round,
+            picks = server.rng.choice(len(clients), size=fed.participants_per_round,
                                       replace=False)
             participants = [clients[i] for i in sorted(picks)]
 
-        results = [local_update(c, server.bundle, server.global_stats, plan, cfg, rnd)
+        results = [local_update(c, server.bundle, server.global_stats, fed, cfg, rnd)
                    for c in participants]
         uploads = [upload for upload, _ in results]
         n_list = [c.n_samples for c in participants]
 
-        agg = aggregate(uploads, n_list, cfg.strategy)
+        agg = aggregate(uploads, n_list, fed.strategy)
         server.bundle.update(agg)
         server.global_stats = synthesize_global_stats(
             [bundle_layer_stats(b) for b in uploads], n_list,
-            cfg.stat_aggregation)
+            fed.stat_aggregation)
 
         load_bundle(net, adapters, server.bundle)
         net.set_global_stats(server.global_stats)

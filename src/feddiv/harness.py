@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .adapter import make_adapters
-from .config import benchmark_hash, config_hash, run_spec
+from .config import benchmark_hash, config_hash, parse
 from .domains import build_benchmark
 from .errors import ConfigError, InputError
 from .federation import (INFERENCE_MODES, ClientState, ServerState, evaluate_net, extract_bundle,
@@ -26,23 +27,20 @@ REPORT_SCHEMA_VERSION = 1
 
 def run_seed(cfg: dict, seed: int) -> dict:
     """One full federated run for a single seed; returns metrics and artifacts."""
-    b, m = cfg["benchmark"], cfg["model"]
-    partition_spec, plan, tcfg = run_spec(cfg)
-    bench = build_benchmark(b["domains"], b["held_out_domain"], b["samples_per_client"],
-                            b["classes"], b["image_size"], seed=seed,
-                            val_fraction=b["val_fraction"], test_samples=b["test_samples"],
-                            partition_spec=partition_spec)
+    tree = parse(cfg)
+    bench = build_benchmark(tree.benchmark, seed)
 
     # One network per run: the server's initial bundle, every client's
     # training and every evaluation use it.
-    net = SmallConvNet(m["in_channels"], tuple(m["widths"]), b["classes"], seed=seed)
-    adapters = (make_adapters(net, cfg["adapter"]["hidden_dim"], seed=seed)
-                if cfg["adapter"]["enabled"] else None)
+    net = SmallConvNet(tree.model.in_channels, tuple(tree.model.widths),
+                       tree.benchmark.classes, seed=seed)
+    adapters = (make_adapters(net, tree.adapter.hidden_dim, seed=seed)
+                if tree.adapter.enabled else None)
     server = ServerState(extract_bundle(net, adapters), seed)
     clients = [ClientState(i, entry["train"], entry["val"], net, adapters, seed)
                for i, entry in enumerate(bench.train_clients)]
 
-    best_bundle, best_stats, ledger = run_federation(clients, server, plan, tcfg)
+    best_bundle, best_stats, ledger = run_federation(clients, server, tree)
 
     load_bundle(net, adapters, best_bundle)
     net.set_global_stats(best_stats)
@@ -52,7 +50,7 @@ def run_seed(cfg: dict, seed: int) -> dict:
             continue  # no adapters were trained
         rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
         accuracies[mode] = evaluate_net(net, adapters, bench.test_set, mode,
-                                        fixed_value=cfg["adapter"]["fixed_value"], rng=rng)
+                                        fixed_value=tree.adapter.fixed_value, rng=rng)
     return {
         "seed": seed,
         "accuracies": accuracies,
@@ -77,13 +75,15 @@ def _write_ledger(rows: list[dict], path: str):
 
 def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
     """Run all seeds, write report.json / ledgers / checkpoints, return report."""
-    out_dir = out_dir or cfg["output_dir"]
+    tree = parse(cfg)
+    cfg = dataclasses.asdict(tree)  # keys ``cfg`` left out are reported at their defaults
+    out_dir = out_dir or tree.output_dir
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
 
     start = time.perf_counter()
     per_seed = {}
-    for seed in cfg["seeds"]:
+    for seed in tree.seeds:
         log.info("running seed %d", seed)
         result = run_seed(cfg, seed)
         per_seed[str(seed)] = {
@@ -102,7 +102,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
 
     summary = {}
     for mode in result["accuracies"]:  # every seed reports the same modes
-        vals = [per_seed[str(s)]["accuracies"][mode] for s in cfg["seeds"]]
+        vals = [per_seed[str(s)]["accuracies"][mode] for s in tree.seeds]
         summary[mode] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
 
     report = {
@@ -110,7 +110,7 @@ def run_experiment(cfg: dict, out_dir: str | None = None) -> dict:
         "config_hash": config_hash(cfg),
         "benchmark_hash": benchmark_hash(cfg),
         "config": cfg,
-        "seeds": cfg["seeds"],
+        "seeds": tree.seeds,
         "per_seed": per_seed,
         "summary": summary,
         "wallclock_sec": round(time.perf_counter() - start, 3),

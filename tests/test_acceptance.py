@@ -21,9 +21,9 @@ import pytest
 from feddiv import tensor as T
 from feddiv.adapter import (adapter_parameters, adapter_train_step, learned_alphas,
                             make_adapters, reparam_alpha_train)
-from feddiv.config import load_config
+from feddiv.config import BenchmarkConfig, load_config
 from feddiv.diversify import LossWeights, SamplingDistribution, local_loss, sample_mix_context
-from feddiv.domains import Dataset, PartitionSpec, generate_base, partition
+from feddiv.domains import Dataset, generate_base, partition
 from feddiv.federation import (SGD, aggregate, aggregated_keys, extract_bundle,
                                load_bundle)
 from feddiv.harness import run_seed
@@ -447,6 +447,7 @@ def ablation_matrix():
 
 
 class TestCriterion7DirectionalBenchmark:
+    @pytest.mark.slow
     def test_orderings_and_band(self, benchmark_matrix):
         acc, elapsed = benchmark_matrix
         fedavg = np.mean([acc["fedavg"][s] for s in SEEDS])
@@ -456,12 +457,14 @@ class TestCriterion7DirectionalBenchmark:
         wins = sum(acc["fedfd_a"][s] >= acc["fedfd"][s] for s in SEEDS)
         assert wins >= 4, f"FedFD-A >= FedFD in only {wins}/5 seeds"
 
+    @pytest.mark.slow
     def test_runtime_budget(self, benchmark_matrix):
         _, elapsed = benchmark_matrix
         assert elapsed < 900, f"core trio took {elapsed:.0f}s (> 15 min)"
 
 
 class TestCriterion8AblationOrdering:
+    @pytest.mark.slow
     def test_uniform_beats_fixed_endpoints(self, ablation_matrix):
         acc = ablation_matrix
         uni = np.mean([acc["uniform"][s] for s in SEEDS])
@@ -492,9 +495,12 @@ class TestCriterion9PartitionSkew:
         base = generate_base(1000, classes, seed=seed)
         tv = {}
         for name, spec in (
-            ("d01", PartitionSpec("dirichlet", 0.1, n_clients)),
-            ("d05", PartitionSpec("dirichlet", 0.5, n_clients)),
-            ("iid", PartitionSpec("iid", 0.5, n_clients)),
+            ("d01", BenchmarkConfig(partition="dirichlet", dirichlet_alpha=0.1,
+                                    clients_per_domain=n_clients)),
+            ("d05", BenchmarkConfig(partition="dirichlet", dirichlet_alpha=0.5,
+                                    clients_per_domain=n_clients)),
+            ("iid", BenchmarkConfig(partition="iid", dirichlet_alpha=0.5,
+                                    clients_per_domain=n_clients)),
         ):
             split = partition(base.labels, spec, seed)
             tv[name] = self._mean_tv([base.subset(idx) for idx in split], classes)

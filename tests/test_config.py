@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
 from feddiv.cli import main as cli_main
-from feddiv.config import DEFAULTS, apply_overrides, benchmark_hash, config_hash, load_config
+from feddiv.config import (DEFAULTS, apply_overrides, benchmark_hash, config_hash, load_config,
+                           parse)
 from feddiv.errors import ConfigError
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -97,7 +99,7 @@ class TestLoadConfig:
         (["federation.batch_size=0"], "batch_size"),
         (["adapter.hidden_dim=0"], "hidden_dim"),
         (["federation.lr=-1"], "lr"),
-        (["adapter.lr=0"], "adapter_lr"),
+        (["adapter.lr=0"], "adapter.lr"),
         (["benchmark.samples_per_client=0"], "samples_per_client"),
         (["benchmark.val_fraction=1.5"], "val_fraction"),
         (["benchmark.clients_per_domain=0"], "client"),
@@ -113,7 +115,7 @@ class TestLoadConfig:
         (['federation.strategy="fedprox"', "federation.prox_mu=-0.5"], "prox_mu"),
         (["adapter.fixed_value=1.5"], "fixed_value"),
         (["adapter.fixed_value=-0.1"], "fixed_value"),
-        (["adapter.warmup_rounds=-3"], "adapter_warmup_rounds"),
+        (["adapter.warmup_rounds=-3"], "adapter.warmup_rounds"),
         (["federation.momentum=-2"], "momentum"),
         (["federation.momentum=1.5"], "momentum"),
         (["federation.momentum=1.0"], "momentum"),
@@ -151,6 +153,25 @@ class TestLoadConfig:
                 override]
         assert cli_main(args) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    # A NaN blend weight trained to chance with non-finite arrays, and an
+    # infinite uniform bound crashed in numpy, both after data generation.
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("section,key", keys_where(lambda d: type(d) is float))
+    def test_non_finite_float_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite number"):
+            load_config(overrides=[f"{section}.{key}={value}"])
+
+    def test_non_finite_blend_weight_exits_two_from_cli(self, tmp_path, capsys):
+        args = ["run", "--out", str(tmp_path)]
+        for override in ["seeds=[0]", "federation.rounds=1", "federation.iterations=2",
+                         "benchmark.samples_per_client=20", "benchmark.test_samples=20",
+                         "diversify.enabled=true", 'diversify.distribution="fixed"',
+                         "diversify.value=NaN"]:
+            args += ["--set", override]
+        assert cli_main(args) == 2
+        assert "diversify.value" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_out_of_range_exits_two_from_cli(self, tmp_path, capsys):
@@ -224,6 +245,33 @@ class TestOverrides:
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["federation.bogus=1"])
+
+
+class TestPinnedConfig:
+    """Reports, checkpoints and the benchmark's configs all hash this dict."""
+
+    WORKLOAD_HASHES = {"fedfd_a-small": "f721e0611f05b945", "fedavg-wide": "0ec83c4a598aaaf8",
+                       "fedbn-many-clients": "ce6a4a408b330a29"}
+
+    def test_defaults_hash(self):
+        assert config_hash(load_config()) == "4d9c7518a4ea4c30"
+
+    def test_workload_hashes(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import workloads
+
+        assert set(self.WORKLOAD_HASHES) == set(workloads.WORKLOADS)
+        for name, digest in self.WORKLOAD_HASHES.items():
+            assert config_hash(workloads.workload_config(name, 0)) == digest, name
+
+    def test_tree_round_trips_the_dict(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import workloads
+
+        configs = [load_config()] + [workloads.workload_config(name, 0)
+                                     for name in workloads.WORKLOADS]
+        for cfg in configs:
+            assert dataclasses.asdict(parse(cfg)) == cfg
 
 
 class TestHashes:

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from feddiv.domains import (Dataset, DomainSpec, PartitionSpec, apply_domain, build_benchmark,
-                            domain_specs, generate_base, partition)
-from feddiv.errors import InputError
+from feddiv.config import BenchmarkConfig
+from feddiv.domains import (Dataset, DomainSpec, apply_domain, build_benchmark, domain_specs,
+                            generate_base, partition)
+from feddiv.errors import ConfigError, InputError
 
 
 def tv_from_uniform(labels, classes):
@@ -197,10 +198,15 @@ def clients(ds, spec, seed):
     return [ds.subset(idx) for idx in partition(ds.labels, spec, seed)]
 
 
+def split_spec(mode, alpha, n_clients):
+    """A benchmark section that splits each domain ``mode``-wise across ``n_clients``."""
+    return BenchmarkConfig(partition=mode, dirichlet_alpha=alpha, clients_per_domain=n_clients)
+
+
 class TestPartition:
     def test_iid_balanced(self):
         ds = generate_base(100, 5, seed=7)
-        parts = clients(ds, PartitionSpec("iid", alpha=0.5, n_clients=2), seed=0)
+        parts = clients(ds, split_spec("iid", alpha=0.5, n_clients=2), seed=0)
         assert sorted(len(p) for p in parts) == [50, 50]
         for p in parts:
             hist = np.bincount(p.labels, minlength=5)
@@ -208,7 +214,7 @@ class TestPartition:
 
     def test_conservation_no_duplication(self):
         ds = generate_base(90, 5, seed=8)
-        parts = clients(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=4), seed=1)
+        parts = clients(ds, split_spec("dirichlet", alpha=0.5, n_clients=4), seed=1)
         total = sum(len(p) for p in parts)
         assert total == 90
         # label marginals over all clients equal source marginals exactly
@@ -218,22 +224,22 @@ class TestPartition:
 
     def test_large_alpha_approaches_iid(self):
         ds = generate_base(500, 5, seed=9)
-        parts = clients(ds, PartitionSpec("dirichlet", alpha=1e6, n_clients=5), seed=2)
+        parts = clients(ds, split_spec("dirichlet", alpha=1e6, n_clients=5), seed=2)
         for p in parts:
             assert tv_from_uniform(p.labels, 5) < 0.1
 
     def test_small_alpha_reproducibly_skewed(self):
         ds = generate_base(500, 5, seed=10)
         for _ in range(2):
-            parts = clients(ds, PartitionSpec("dirichlet", alpha=0.1, n_clients=10), seed=3)
+            parts = clients(ds, split_spec("dirichlet", alpha=0.1, n_clients=10), seed=3)
             shares = [np.bincount(p.labels, minlength=5).max() / max(len(p), 1)
                       for p in parts if len(p) > 0]
             assert np.mean(shares) > 0.4  # far above the IID share of 0.2
 
     def test_deterministic_per_seed(self):
         ds = generate_base(100, 5, seed=11)
-        a = clients(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=3), seed=4)
-        b = clients(ds, PartitionSpec("dirichlet", alpha=0.5, n_clients=3), seed=4)
+        a = clients(ds, split_spec("dirichlet", alpha=0.5, n_clients=3), seed=4)
+        b = clients(ds, split_spec("dirichlet", alpha=0.5, n_clients=3), seed=4)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.labels, pb.labels)
             assert np.array_equal(pa.images, pb.images)
@@ -241,21 +247,22 @@ class TestPartition:
     def test_infeasible_spec(self):
         ds = generate_base(3, 3, seed=12)
         with pytest.raises(InputError):
-            clients(ds, PartitionSpec("iid", alpha=0.5, n_clients=10), seed=0)
+            clients(ds, split_spec("iid", alpha=0.5, n_clients=10), seed=0)
 
     def test_iid_split_that_starves_a_client_refused(self):
         # Stratified round-robin gives the clients 2, 3 and 1 of these 6.
         ds = generate_base(6, 5, seed=0)
         with pytest.raises(InputError, match="fewer than 2"):
-            partition(ds.labels, PartitionSpec("iid", alpha=0.5, n_clients=3), seed=0)
+            partition(ds.labels, split_spec("iid", alpha=0.5, n_clients=3), seed=0)
 
     @pytest.mark.parametrize("seed", [114, 159])
     def test_dirichlet_redraws_a_split_that_starves_a_client(self, seed):
         # fedbn-many-clients' data: the first draw at these seeds leaves a
         # client 1 sample, which its validation split takes whole.
-        spec = PartitionSpec("dirichlet", alpha=0.5, n_clients=8)
-        bench = build_benchmark(6, 3, 100, 5, 16, seed=seed, val_fraction=0.2,
-                                test_samples=10, partition_spec=spec)
+        spec = BenchmarkConfig(domains=6, held_out_domain=3, samples_per_client=100,
+                               test_samples=10, partition="dirichlet", dirichlet_alpha=0.5,
+                               clients_per_domain=8)
+        bench = build_benchmark(spec, seed=seed)
         assert len(bench.train_clients) == 40
         for c in bench.train_clients:
             assert len(c["train"]) >= 1 and len(c["val"]) >= 1
@@ -264,25 +271,23 @@ class TestPartition:
         # Two samples per client leave no slack for a skewed split.
         ds = generate_base(10, 5, seed=13)
         with pytest.raises(InputError, match="draws"):
-            clients(ds, PartitionSpec("dirichlet", alpha=0.01, n_clients=5), seed=0)
+            clients(ds, split_spec("dirichlet", alpha=0.01, n_clients=5), seed=0)
 
 
-# One client per domain.
-ONE_CLIENT = PartitionSpec("iid", 0.5, 1)
-
-
+# The keys a spec below leaves out keep their defaults: one IID client per
+# domain, 5 classes, 16x16 images and a validation share of 0.2.
 class TestBuildBenchmark:
     def test_leave_one_out_exclusivity(self):
-        bench = build_benchmark(4, held_out=3, samples_per_client=50, classes=5,
-                                size=16, seed=0, val_fraction=0.2, test_samples=500,
-                                partition_spec=ONE_CLIENT)
+        spec = BenchmarkConfig(domains=4, held_out_domain=3, samples_per_client=50,
+                               test_samples=500)
+        bench = build_benchmark(spec, seed=0)
         assert len(bench.train_clients) == 3
         assert {c["domain_id"] for c in bench.train_clients} == {0, 1, 2}
 
     def test_train_val_disjoint(self):
-        bench = build_benchmark(4, held_out=0, samples_per_client=50, classes=5,
-                                size=16, seed=1, val_fraction=0.2, test_samples=500,
-                                partition_spec=ONE_CLIENT)
+        spec = BenchmarkConfig(domains=4, held_out_domain=0, samples_per_client=50,
+                               test_samples=500)
+        bench = build_benchmark(spec, seed=1)
         for c in bench.train_clients:
             n_total = len(c["train"]) + len(c["val"])
             assert n_total == 50
@@ -292,30 +297,32 @@ class TestBuildBenchmark:
             assert not flat_train & flat_val
 
     def test_bitwise_stable_regeneration(self):
-        a = build_benchmark(4, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
-                            partition_spec=ONE_CLIENT)
-        b = build_benchmark(4, 3, 40, 5, 16, seed=7, val_fraction=0.2, test_samples=500,
-                            partition_spec=ONE_CLIENT)
+        spec = BenchmarkConfig(domains=4, held_out_domain=3, samples_per_client=40,
+                               test_samples=500)
+        a = build_benchmark(spec, seed=7)
+        b = build_benchmark(spec, seed=7)
         assert np.array_equal(a.test_set.images, b.test_set.images)
         for ca, cb in zip(a.train_clients, b.train_clients):
             assert np.array_equal(ca["train"].images, cb["train"].images)
             assert np.array_equal(ca["val"].labels, cb["val"].labels)
 
+    # The benchmark section holds these bounds, so no spec gets past them.
     def test_too_few_domains(self):
-        with pytest.raises(InputError):
-            build_benchmark(1, 0, 40, 5, 16, seed=0, val_fraction=0.2, test_samples=500,
-                            partition_spec=ONE_CLIENT)
+        with pytest.raises(ConfigError, match="benchmark.domains"):
+            build_benchmark(BenchmarkConfig(domains=1, held_out_domain=0, samples_per_client=40,
+                                            test_samples=500), seed=0)
 
     @pytest.mark.parametrize("held_out", [-1, 4])
     def test_held_out_outside_the_domains(self, held_out):
-        with pytest.raises(InputError, match="held-out"):
-            build_benchmark(4, held_out, 40, 5, 16, seed=0, val_fraction=0.2, test_samples=5,
-                            partition_spec=ONE_CLIENT)
+        with pytest.raises(ConfigError, match="benchmark.held_out_domain"):
+            build_benchmark(BenchmarkConfig(domains=4, held_out_domain=held_out,
+                                            samples_per_client=40, test_samples=5), seed=0)
 
     def test_val_fraction_leaves_one_training_sample(self):
         # Two samples at val_fraction 0.9 round to two validation samples.
-        bench = build_benchmark(4, 3, 2, 5, 16, seed=0, val_fraction=0.9, test_samples=5,
-                                partition_spec=ONE_CLIENT)
+        spec = BenchmarkConfig(domains=4, held_out_domain=3, samples_per_client=2,
+                               val_fraction=0.9, test_samples=5)
+        bench = build_benchmark(spec, seed=0)
         for c in bench.train_clients:
             assert (len(c["train"]), len(c["val"])) == (1, 1)
 
@@ -323,9 +330,10 @@ class TestBuildBenchmark:
     def test_skewed_small_clients_keep_a_training_sample(self, seed):
         # At seeds 0, 2, 3 and 4 some client gets few enough samples that a
         # 0.75 validation share would round to all of them.
-        spec = PartitionSpec("dirichlet", alpha=0.3, n_clients=3)
-        bench = build_benchmark(4, 3, 6, 5, 16, seed=seed, val_fraction=0.75, test_samples=5,
-                                partition_spec=spec)
+        spec = BenchmarkConfig(domains=4, held_out_domain=3, samples_per_client=6,
+                               val_fraction=0.75, test_samples=5, partition="dirichlet",
+                               dirichlet_alpha=0.3, clients_per_domain=3)
+        bench = build_benchmark(spec, seed=seed)
         assert len(bench.train_clients) == 9
         for c in bench.train_clients:
             assert len(c["train"]) >= 1 and len(c["val"]) >= 1
@@ -335,9 +343,10 @@ class TestBuildBenchmark:
         # No branch serves one client per domain: the general split must give
         # every sample of the domain once, in the domain's order.
         specs = domain_specs(3)
-        one = PartitionSpec(mode, 0.5, 1)
-        bench = build_benchmark(3, 2, 30, 5, 8, seed=4, val_fraction=0.2,
-                                test_samples=5, partition_spec=one)
+        one = BenchmarkConfig(domains=3, held_out_domain=2, samples_per_client=30,
+                              image_size=8, test_samples=5, partition=mode, dirichlet_alpha=0.5,
+                              clients_per_domain=1)
+        bench = build_benchmark(one, seed=4)
         for c, spec in zip(bench.train_clients, specs):
             shifted = apply_domain(generate_base(30, 5, 8, seed=4000 + spec.domain_id), spec)
             assert_same_bytes(clients(shifted, one, seed=0)[0], shifted, mode)
@@ -356,11 +365,12 @@ class TestBuildBenchmark:
         # a channel copy of the grey canvas, a second copy of each client's
         # arrays and the held-out set built on top of every client together
         # push the peak to 2.0x the images returned.
-        spec = PartitionSpec("dirichlet", alpha=0.5, n_clients=8)
+        spec = BenchmarkConfig(domains=6, held_out_domain=3, samples_per_client=100,
+                               test_samples=2000, partition="dirichlet", dirichlet_alpha=0.5,
+                               clients_per_domain=8)
         tracemalloc.start()
         try:
-            bench = build_benchmark(6, 3, 100, 5, 16, seed=0, val_fraction=0.2,
-                                    test_samples=2000, partition_spec=spec)
+            bench = build_benchmark(spec, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

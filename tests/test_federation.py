@@ -9,13 +9,13 @@ import pytest
 import feddiv.tensor as T
 from feddiv import federation
 from feddiv.adapter import make_adapters
-from feddiv.diversify import LossWeights, SamplingDistribution
+from feddiv.config import AdapterConfig, Config, DiversifyConfig, FederationConfig
+from feddiv.diversify import LossWeights
 from feddiv.domains import Dataset, DomainSpec, apply_domain, generate_base
 from feddiv.errors import ConfigError, FeddivError, InputError, ProtocolError
-from feddiv.federation import (ClientState, RoundPlan, ServerState, TrainConfig, aggregate,
-                               aggregated_keys, bundle_layer_stats, evaluate_net,
-                               extract_bundle, load_bundle, local_update, run_federation,
-                               synthesize_global_stats)
+from feddiv.federation import (ClientState, ServerState, aggregate, aggregated_keys,
+                               bundle_layer_stats, evaluate_net, extract_bundle, load_bundle,
+                               local_update, run_federation, synthesize_global_stats)
 from feddiv.layers import BNMode, SmallConvNet
 from feddiv.tensor import Tensor
 
@@ -184,19 +184,19 @@ class TestSynthesizeGlobalStats:
         assert abs(weights.sum() - 1.0) < 1e-12
 
 
-def default_plan(iterations=4, rounds=1, participants_per_round=None):
-    return RoundPlan(rounds=rounds, iterations=iterations, val_every=2,
-                     participants_per_round=participants_per_round)
-
-
-def default_cfg(**kw):
-    base = dict(strategy="fedavg", lr=0.01, momentum=0.5, batch_size=8, diversify=True,
-                distribution=SamplingDistribution("uniform", 0, 1, 0.5),
-                loss_weights=LossWeights(0.1, 4.0), adapter_warmup_rounds=0,
-                adapter_lr=0.005, prox_mu=0.1, stop_gradient_features=False,
-                stat_aggregation="total_variance")
-    base.update(kw)
-    return TrainConfig(**base)
+def default_cfg(iterations=4, rounds=1, participants_per_round=None, diversify=True,
+                warmup_rounds=0, val_every=2, **federation):
+    """The config tree at these shapes; the other keywords set federation keys."""
+    fed = dict(strategy="fedavg", lr=0.01, momentum=0.5, batch_size=8, prox_mu=0.1,
+               stat_aggregation="total_variance")
+    fed.update(federation)
+    return Config(
+        federation=FederationConfig(rounds=rounds, iterations=iterations, val_every=val_every,
+                                    participants_per_round=participants_per_round, **fed),
+        loss=LossWeights(0.1, 4.0),
+        diversify=DiversifyConfig(enabled=diversify, distribution="uniform", low=0.0,
+                                  high=1.0, value=0.5, stop_gradient_features=False),
+        adapter=AdapterConfig(warmup_rounds=warmup_rounds, lr=0.005))
 
 
 def initial_stats():
@@ -220,9 +220,9 @@ class TestLocalUpdate:
             for round_idx in (0, 1):
                 client = tiny_client(0, seed=1)
                 server_bundle = random_bundle(5)
-                out, _ = local_update(client, server_bundle, initial_stats(),
-                                      default_plan(0), default_cfg(strategy=strategy),
-                                      round_idx)
+                cfg = default_cfg(0, strategy=strategy)
+                out, _ = local_update(client, server_bundle, initial_stats(), cfg.federation,
+                                      cfg, round_idx)
                 assert set(out) == set(server_bundle)
                 for k in server_bundle:
                     assert out[k].tobytes() == server_bundle[k].tobytes(), (strategy, k)
@@ -244,10 +244,9 @@ class TestLocalUpdate:
 
         monkeypatch.setattr(federation, "extract_bundle", extract)
         monkeypatch.setattr(federation, "evaluate_net", lambda *a, **kw: next(scores))
-        plan = RoundPlan(rounds=1, iterations=iterations, val_every=val_every,
-                         participants_per_round=None)
-        local_update(tiny_client(0, seed=2), random_bundle(6), initial_stats(), plan,
-                     default_cfg())
+        cfg = default_cfg(iterations, val_every=val_every)
+        local_update(tiny_client(0, seed=2), random_bundle(6), initial_stats(), cfg.federation,
+                     cfg)
         assert next(scores, None) is None  # every accuracy was read
         assert sum(full) == snapshots
 
@@ -255,25 +254,25 @@ class TestLocalUpdate:
         forked = count_forks(monkeypatch)
         client = tiny_client(0, seed=1)
         state = copy.deepcopy(client.adapter_rng.bit_generator.state)
-        local_update(client, random_bundle(5), initial_stats(), default_plan(0), default_cfg())
+        cfg = default_cfg(0)
+        local_update(client, random_bundle(5), initial_stats(), cfg.federation, cfg)
         assert forked == []
         assert client.adapter_rng.bit_generator.state == state
 
     def test_adapter_steps_only_with_adapters_past_warmup(self):
         # The steps run in the adapter worker; the RNG state its last sync
         # hands back counts them: each step draws one (N, 1) normal per BN layer.
-        plan = default_plan(iterations=3)
-        cfg = default_cfg(adapter_warmup_rounds=1)
+        cfg = default_cfg(iterations=3, warmup_rounds=1)
         for adapters, round_idx in [(False, 0), (False, 1), (True, 0), (True, 1)]:
             client = tiny_client(0, seed=9)
             if not adapters:
                 client.adapters = None
             want = copy.deepcopy(client.adapter_rng)
-            if adapters and round_idx >= cfg.adapter_warmup_rounds:
-                for _ in range(plan.iterations * len(client.net.bn_layers())):
-                    want.standard_normal(size=(cfg.batch_size, 1))
+            if adapters and round_idx >= cfg.adapter.warmup_rounds:
+                for _ in range(cfg.federation.iterations * len(client.net.bn_layers())):
+                    want.standard_normal(size=(cfg.federation.batch_size, 1))
             bundle = extract_bundle(client.net, client.adapters)
-            local_update(client, bundle, initial_stats(), plan, cfg, round_idx)
+            local_update(client, bundle, initial_stats(), cfg.federation, cfg, round_idx)
             assert client.adapter_rng.bit_generator.state == want.bit_generator.state, \
                 (adapters, round_idx)
 
@@ -289,10 +288,11 @@ class TestLocalUpdate:
                 raise error
 
         monkeypatch.setattr(federation.adapter_mod, "adapter_train_step", third_step_fails)
+        cfg = default_cfg(4)
         with pytest.raises(raised, match=r"client 3: adapter step at iteration 2 failed: "
                                          r"(ValueError: )?bad batch") as info:
             local_update(tiny_client(3, seed=2), random_bundle(6), initial_stats(),
-                         default_plan(4), default_cfg())
+                         cfg.federation, cfg)
         assert type(info.value) is raised
         assert not multiprocessing.active_children()
 
@@ -301,10 +301,11 @@ class TestLocalUpdate:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(federation.adapter_mod, "adapter_train_step", killed)
+        cfg = default_cfg(4)
         with pytest.raises(FeddivError, match=r"client 0: adapter worker at iteration \d: "
                                               r"the worker process exited \(exit code -9\)"):
             local_update(tiny_client(0, seed=2), random_bundle(6), initial_stats(),
-                         default_plan(4), default_cfg())
+                         cfg.federation, cfg)
         assert not multiprocessing.active_children()
 
     def test_parent_error_closes_the_worker(self, monkeypatch):
@@ -318,9 +319,9 @@ class TestLocalUpdate:
             return 0.5
 
         monkeypatch.setattr(federation, "evaluate_net", evaluate)
-        clients, server, plan, cfg, _, _ = build_federation(seed=1)
+        clients, server, cfg, _, _ = build_federation(seed=1)
         with pytest.raises(InputError, match="validation failed"):
-            run_federation(clients, server, plan, cfg)
+            run_federation(clients, server, cfg)
         assert not multiprocessing.active_children()
         assert all(c.adapter_worker is None for c in clients)
 
@@ -328,8 +329,8 @@ class TestLocalUpdate:
         outs = []
         for strategy, mu in [("fedavg", 0.1), ("fedprox", 0.0)]:
             client = tiny_client(0, seed=2)
-            out, _ = local_update(client, random_bundle(6), initial_stats(),
-                                  default_plan(4), default_cfg(strategy=strategy, prox_mu=mu))
+            cfg = default_cfg(4, strategy=strategy, prox_mu=mu)
+            out, _ = local_update(client, random_bundle(6), initial_stats(), cfg.federation, cfg)
             outs.append(out)
         for k in outs[0]:
             assert np.array_equal(outs[0][k], outs[1][k]), k
@@ -338,8 +339,8 @@ class TestLocalUpdate:
         outs = []
         for strategy in ["fedavg", "fedprox"]:
             client = tiny_client(0, seed=3)
-            out, _ = local_update(client, random_bundle(7), initial_stats(),
-                                  default_plan(4), default_cfg(strategy=strategy, prox_mu=0.5))
+            cfg = default_cfg(4, strategy=strategy, prox_mu=0.5)
+            out, _ = local_update(client, random_bundle(7), initial_stats(), cfg.federation, cfg)
             outs.append(out)
         assert any(not np.array_equal(outs[0][k], outs[1][k]) for k in outs[0])
 
@@ -347,8 +348,9 @@ class TestLocalUpdate:
         results = []
         for _ in range(2):
             client = tiny_client(0, seed=4)
+            cfg = default_cfg(6)
             out, metrics = local_update(client, random_bundle(8), initial_stats(),
-                                        default_plan(6), default_cfg())
+                                        cfg.federation, cfg)
             results.append((out, metrics))
         for k in results[0][0]:
             assert np.array_equal(results[0][0][k], results[1][0][k]), k
@@ -376,8 +378,8 @@ class TestLocalUpdate:
     def test_keeps_the_arrays_the_strategy_leaves_local(self, strategy, local):
         client = tiny_client(0, seed=7)
         assert client.local == {}
-        local_update(client, random_bundle(11), initial_stats(), default_plan(4),
-                     default_cfg(strategy=strategy))
+        cfg = default_cfg(4, strategy=strategy)
+        local_update(client, random_bundle(11), initial_stats(), cfg.federation, cfg)
         assert set(client.local) == local
         # as the round left them, not as the best snapshot
         arrays = extract_bundle(client.net, client.adapters)
@@ -390,12 +392,13 @@ class TestLocalUpdate:
         # next round still starts from its own local arrays.
         a, b = tiny_client(0, seed=8), tiny_client(1, seed=8)
         b.net, b.adapters = a.net, a.adapters
-        cfg = default_cfg(strategy=strategy)
+        cfg, no_iterations = default_cfg(4, strategy=strategy), default_cfg(0, strategy=strategy)
         server_bundle = random_bundle(12)
         for c in (a, b):
-            local_update(c, server_bundle, initial_stats(), default_plan(4), cfg)
+            local_update(c, server_bundle, initial_stats(), cfg.federation, cfg)
         kept = dict(a.local)
-        start, _ = local_update(a, server_bundle, initial_stats(), default_plan(0), cfg, 1)
+        start, _ = local_update(a, server_bundle, initial_stats(), no_iterations.federation,
+                                no_iterations, 1)
         assert kept
         for k in server_bundle:
             assert start[k].tobytes() == kept.get(k, server_bundle[k]).tobytes(), k
@@ -435,8 +438,8 @@ class TestWarmStart:
         bundle = {k: rng.uniform(-1, 1, v.shape) for k, v in extract_bundle(net, None).items()}
         client = ClientState(0, tiny_dataset(n, seed=4), tiny_dataset(9, seed=5), net, None, 0)
         stale = [(np.full(w, 9.0), np.full(w, 9.0)) for w in widths]
-        local_update(client, bundle, stale, default_plan(0),
-                     default_cfg(diversify=False), round_idx=0)
+        cfg = default_cfg(0, diversify=False)
+        local_update(client, bundle, stale, cfg.federation, cfg, round_idx=0)
         got = [(bn.global_mean, bn.global_var) for bn in net.bn_layers()]
 
         ref_net = SmallConvNet(in_channels=3, widths=widths, num_classes=3, seed=11)
@@ -555,17 +558,15 @@ def build_federation(seed=0, n_clients=3, rounds=2, iterations=4):
     for c in clients:
         c.net, c.adapters = net, adapters
     server = ServerState(extract_bundle(net, adapters), seed=seed)
-    plan = default_plan(iterations, rounds)
-    cfg = default_cfg()
-    return clients, server, plan, cfg, net, adapters
+    return clients, server, default_cfg(iterations, rounds), net, adapters
 
 
 class TestRunFederation:
     def test_ledger_reproducible_bitwise(self):
         ledgers = []
         for _ in range(2):
-            clients, server, plan, cfg, net, ad = build_federation(seed=1)
-            _, _, ledger = run_federation(clients, server, plan, cfg)
+            clients, server, cfg, net, ad = build_federation(seed=1)
+            _, _, ledger = run_federation(clients, server, cfg)
             ledgers.append(ledger)
         assert ledgers[0] == ledgers[1]
 
@@ -576,22 +577,22 @@ class TestRunFederation:
         for i, c in enumerate(clients):
             c.client_id, c.net, c.adapters = i, template, ad
         server = ServerState(extract_bundle(template, ad), seed=3)
-        _, _, ledger = run_federation(clients, server, default_plan(), default_cfg())
+        _, _, ledger = run_federation(clients, server, default_cfg())
         accs = [r["accuracy"] for r in ledger if r["split"] == "server_val"]
         assert accs[0] == accs[1]
 
     def test_best_round_snapshot_matches_ledger_argmax(self):
-        clients, server, plan, cfg, net, ad = build_federation(seed=4, rounds=3)
-        _, _, ledger = run_federation(clients, server, plan, cfg)
+        clients, server, cfg, net, ad = build_federation(seed=4, rounds=3)
+        _, _, ledger = run_federation(clients, server, cfg)
         scores = [float(np.mean([r["accuracy"] for r in ledger if r["round"] == rnd]))
-                  for rnd in range(plan.rounds)]
+                  for rnd in range(cfg.federation.rounds)]
         assert server.best_round == int(np.argmax(scores))
         assert server.best_score == max(scores)
 
     def test_zero_rounds_keep_the_starting_arrays(self):
-        clients, server, _, cfg, net, ad = build_federation(seed=4)
+        clients, server, _, net, ad = build_federation(seed=4)
         start = {k: v.copy() for k, v in server.bundle.items()}
-        best, stats, ledger = run_federation(clients, server, default_plan(rounds=0), cfg)
+        best, stats, ledger = run_federation(clients, server, default_cfg(rounds=0))
         assert ledger == []
         assert server.best_round == -1
         assert list(best) == list(start)
@@ -603,10 +604,10 @@ class TestRunFederation:
     def test_client_list_order_changes_nothing(self):
         runs = []
         for reverse in (False, True):
-            clients, server, _, cfg, net, ad = build_federation(seed=6, rounds=3)
-            plan = default_plan(iterations=2, rounds=3, participants_per_round=2)
+            clients, server, _, net, ad = build_federation(seed=6, rounds=3)
+            cfg = default_cfg(iterations=2, rounds=3, participants_per_round=2)
             best, _, ledger = run_federation(clients[::-1] if reverse else clients, server,
-                                             plan, cfg)
+                                             cfg)
             runs.append((best, ledger, server.best_round))
         (best0, ledger0, round0), (best1, ledger1, round1) = runs
         assert ledger1 == ledger0
@@ -619,40 +620,39 @@ class TestRunFederation:
         template = SmallConvNet(seed=0, **MODEL)
         server = ServerState(extract_bundle(template, None), seed=0)
         with pytest.raises(ProtocolError):
-            run_federation([], server, default_plan(), default_cfg())
+            run_federation([], server, default_cfg())
 
     @pytest.mark.parametrize("own", ["net", "adapters", "no adapters"])
     def test_clients_on_other_networks_rejected(self, own):
         # Server validation runs on the network and adapters the clients share.
-        clients, server, plan, cfg, _, _ = build_federation(seed=6)
+        clients, server, cfg, _, _ = build_federation(seed=6)
         other = tiny_client(1, seed=6)
         if own == "net":
             clients[1].net = other.net
         else:
             clients[1].adapters = other.adapters if own == "adapters" else None
         with pytest.raises(ProtocolError, match="client 1 does not share client 0's network"):
-            run_federation(clients, server, plan, cfg)
+            run_federation(clients, server, cfg)
 
     @pytest.mark.parametrize("adapters,warmup,forks", [(True, 0, 1), (True, 1, 1),
                                                        (True, 2, 0), (False, 0, 0)])
     def test_one_adapter_worker_per_run(self, monkeypatch, adapters, warmup, forks):
         # The run's one worker forks at the first update that steps the
         # adapter, and is gone after the run.
-        clients, _, _, _, net, ad = build_federation(seed=2)
+        clients, _, _, net, ad = build_federation(seed=2)
         ad = ad if adapters else None
         for c in clients:
             c.adapters = ad
         server = ServerState(extract_bundle(net, ad), seed=2)
         forked = count_forks(monkeypatch)
-        run_federation(clients, server, default_plan(rounds=2),
-                       default_cfg(adapter_warmup_rounds=warmup))
+        run_federation(clients, server, default_cfg(rounds=2, warmup_rounds=warmup))
         assert len(forked) == forks
         assert not multiprocessing.active_children()
 
     def test_client_sampling_subset(self):
-        clients, server, plan, cfg, net, ad = build_federation(seed=5, rounds=2)
-        plan = default_plan(iterations=2, rounds=2, participants_per_round=2)
-        _, _, ledger = run_federation(clients, server, plan, cfg)
+        clients, server, _, net, ad = build_federation(seed=5, rounds=2)
+        cfg = default_cfg(iterations=2, rounds=2, participants_per_round=2)
+        _, _, ledger = run_federation(clients, server, cfg)
         per_round = {}
         for r in ledger:
             per_round.setdefault(r["round"], set()).add(r["client_id"])

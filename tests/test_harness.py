@@ -9,7 +9,7 @@ import pytest
 
 from feddiv import checkpoint, harness
 from feddiv.cli import main as cli_main
-from feddiv.config import load_config
+from feddiv.config import config_hash, load_config
 from feddiv.errors import ConfigError, InputError
 from feddiv.harness import (INFERENCE_MODES, _write_ledger, compare_reports, run_experiment,
                             run_seed)
@@ -150,6 +150,15 @@ class TestRunExperiment:
         assert on_disk["config_hash"] == report["config_hash"]
         assert on_disk["summary"] == report["summary"]
 
+    def test_config_that_leaves_keys_out_reports_their_defaults(self, tmp_path):
+        partial = {"benchmark": {"samples_per_client": 10, "test_samples": 10},
+                   "federation": {"rounds": 0}, "seeds": [0]}
+        report = run_experiment(partial, str(tmp_path))
+        full = load_config(None, ["benchmark.samples_per_client=10", "benchmark.test_samples=10",
+                                  "federation.rounds=0", "seeds=[0]"])
+        assert report["config"] == full
+        assert report["config_hash"] == config_hash(full)
+
     def test_rerun_identical_metrics(self, tiny_report, tmp_path):
         cfg, _, report = tiny_report
         report2 = run_experiment(copy.deepcopy(cfg), str(tmp_path))
@@ -252,6 +261,16 @@ class TestCLI:
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_config_directory_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_empty_output_dir_exit_two(self, capsys):
+        assert cli_main(["run", "--set", 'output_dir=""', "--set", "federation.rounds=0"]) == 2
+        assert "output_dir" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_one(self):
         assert cli_main(["inspect", "--checkpoint", "/nonexistent/ckpt.json"]) == 1
