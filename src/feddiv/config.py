@@ -90,7 +90,8 @@ class FederationConfig:
     batch_size: int = 64
     prox_mu: float = 0.1
     participants_per_round: int | None = None  # None: every client
-    # Clients always run one after another; only false is accepted.
+    # Named a retired client thread pool; only false is accepted. Which
+    # clients of a round train on the run's worker process is not configurable.
     parallel_clients: bool = False
     stat_aggregation: str = "total_variance"
 
@@ -110,7 +111,8 @@ class FederationConfig:
         _require(0 <= self.momentum < 1, "federation.momentum", "in [0, 1)", self.momentum)
         _require(self.prox_mu >= 0, "federation.prox_mu", ">= 0", self.prox_mu)
         _require(not self.parallel_clients, "federation.parallel_clients",
-                 "false (clients run one after another)", self.parallel_clients)
+                 "false (the key named a retired thread pool; how a round's clients share "
+                 "the run's worker process is not configurable)", self.parallel_clients)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 Clients train locally and upload their best-validation snapshot; the server
 weighted-averages the strategy's share of the arrays, synthesizes global BN
 statistics from the uploaded running buffers, and keeps the round whose mean
-participant validation accuracy is highest. A client's adapter steps run on
-a forked worker process, one iteration behind its main steps (``AdapterWorker``).
-``run_federation`` takes the config tree (``config.Config``) and hands each
-``local_update`` the tree's ``federation`` section and the tree.
+participant validation accuracy is highest. The run's one forked worker
+process (``AdapterWorker``) runs a client's adapter steps, one iteration
+behind its main steps; in rounds without adapter steps it trains every
+other participant instead, while the parent draws that client's batches and
+validates and selects its snapshots. ``run_federation`` takes the config
+tree (``config.Config``) and hands each ``local_update`` the tree's
+``federation`` section and the tree.
 """
 
 from __future__ import annotations
@@ -262,37 +265,56 @@ class ServerState:
         self.best_stats = [(m.copy(), v.copy()) for m, v in self.global_stats]
 
 
-# -- adapter worker ------------------------------------------------------------
+# -- the run's worker ------------------------------------------------------------
 
-# Seconds a closing worker gets to finish the steps it was sent and exit.
+# Seconds a closing worker gets to finish the work it was sent and exit.
 WORKER_CLOSE_TIMEOUT = 10.0
 
 
 class AdapterWorker:
-    """Runs the adapter steps of one network in a forked process, one iteration behind.
-
-    Adapter step t and main step t+1 read the same weights, the ones SGD step
-    t left, and they write disjoint state: the adapter step writes only the
-    adapter arrays and ``adapter_rng``, which the main step never reads, and
-    the interpolated forward leaves the BN running buffers alone. So the
-    parent sends each adapter step and goes on with the next main step, and
-    the bits are those of running the two in turn.
+    """The run's one worker process: a client's adapter steps, or a client's main steps.
 
     A worker serves one network and adapter set, the pair it is built with.
-    The process forks at the first ``begin`` and serves until ``close`` (or
-    the end of a ``with`` block). Everything an adapter step reads comes in
-    the messages: ``begin`` carries the client's adapter arrays, each BN
-    layer's global statistics, the adapter RNG and learning rate; ``step``
-    the main parameters after the SGD step and the batch. ``sync`` waits for
-    the steps sent so far and loads what they leave into the client: the
-    adapter arrays and the advanced RNG state.
+    The process forks at the first ``begin`` or ``hand_over`` and serves
+    until ``close`` (or the end of a ``with`` block). Everything the worker
+    runs reads only what the messages carry, so it has the bits of running
+    the same work in the parent.
+
+    Adapter steps run one iteration behind the main steps. Adapter step t
+    and main step t+1 read the same weights, the ones SGD step t left, and
+    they write disjoint state: the adapter step writes only the adapter
+    arrays and ``adapter_rng``, which the main step never reads, and the
+    interpolated forward leaves the BN running buffers alone. So the parent
+    sends each adapter step and goes on with the next main step. ``begin``
+    carries the client's adapter arrays, each BN layer's global statistics,
+    the adapter RNG and learning rate; ``step`` the main parameters after
+    the SGD step and the batch. ``sync`` waits for the steps sent so far and
+    loads what they leave into the client: the adapter arrays and the
+    advanced RNG state.
+
+    Main steps run in rounds without adapter steps. ``share_round`` pairs
+    each participant at an even position of the id-ordered list with the
+    next one. The first one's ``local_update`` calls ``hand_over``, which
+    draws the second one's batches and mix vectors from that client's own
+    RNG, as its own update would, and streams them with its start arrays to
+    the worker; the parent then trains the first one while the worker trains
+    the second. The worker reads a client's whole work before it trains and
+    keeps the snapshots of the validation iterations until its last step,
+    so neither side's send waits on a busy peer. The second one's
+    ``local_update`` calls ``take`` for the global statistics it trained
+    under, its mean losses and the snapshots, and validates and selects in
+    the parent. One handed-over client is in flight at a time.
     """
 
-    def __init__(self, net: SmallConvNet, adapters: list[InstanceAdapter]):
+    def __init__(self, net: SmallConvNet, adapters: list[InstanceAdapter] | None):
         self._net, self._adapters = net, adapters
         self._conn = self._proc = None
+        self._pairs: dict[ClientState, ClientState] = {}
+        self._handed: ClientState | None = None  # handed over and not yet taken
+        # The client and kind of the work in flight, and the last adapter step sent.
         self._client: ClientState | None = None
-        self._iteration = None  # of the last step sent
+        self._main = False
+        self._iteration = None
 
     def __enter__(self) -> AdapterWorker:
         return self
@@ -303,7 +325,7 @@ class AdapterWorker:
     def begin(self, client: ClientState, lr: float):
         if self._proc is None:
             self._fork()
-        self._client, self._iteration = client, None
+        self._client, self._main, self._iteration = client, False, None
         self._send(("begin", [p.data for p in adapter_parameters(self._adapters).values()],
                     [(bn.global_mean, bn.global_var) for bn in self._net.bn_layers()],
                     client.adapter_rng, lr))
@@ -319,8 +341,44 @@ class AdapterWorker:
             p.data = a
         self._client.adapter_rng.bit_generator.state = rng_state
 
+    def share_round(self, participants: list[ClientState]):
+        """Pair the round's id-ordered participants for ``hand_over``."""
+        self._pairs = dict(zip(participants[::2], participants[1::2]))
+
+    def hand_over(self, client: ClientState, server_bundle: dict, global_stats,
+                  fed: FederationConfig, cfg: Config, round_idx: int):
+        """Send the worker the main steps of ``client``'s pair, if the round paired it."""
+        partner = self._pairs.pop(client, None)
+        if partner is None or fed.iterations == 0:
+            return
+        if self._handed is not None:
+            raise ProtocolError(f"client {partner.client_id}: client "
+                                f"{self._handed.client_id}'s update is still on the worker")
+        if self._proc is None:
+            self._fork()
+        self._client, self._main, self._iteration = partner, True, None
+        self._send(("train", partner.client_id, {**server_bundle, **partner.local},
+                    global_stats, _warm_images(partner, round_idx), fed, cfg))
+        for draw in _draws(partner, fed, cfg):  # one batch per message: no big buffer here
+            self._send(draw)
+        self._handed = partner
+
+    def trains(self, client: ClientState) -> bool:
+        return client is self._handed
+
+    def take(self, snapshots: int):
+        """The handed-over client's global statistics, mean losses and snapshots.
+
+        The snapshots come one at a time, ``snapshots`` of them, from an
+        iterator that must be read to its end.
+        """
+        self._handed = None
+        stats, losses = self._recv()
+        return stats, losses, (self._recv() for _ in range(snapshots))
+
     def close(self):
-        """Stop the process, if one runs; the next ``begin`` forks a new one."""
+        """Stop the process, if one runs; the next ``begin`` or ``hand_over`` forks a new one."""
+        self._pairs, self._handed = {}, None
         if self._proc is None:
             return
         conn, proc = self._conn, self._proc
@@ -335,9 +393,8 @@ class AdapterWorker:
         ctx = multiprocessing.get_context("fork")
         conn, worker_conn = ctx.Pipe()
         try:
-            proc = ctx.Process(target=_serve_adapter_steps,
-                               args=(worker_conn, conn, self._net, self._adapters),
-                               name="feddiv-adapter-worker", daemon=True)
+            proc = ctx.Process(target=_serve, args=(worker_conn, conn, self._net, self._adapters),
+                               name="feddiv-worker", daemon=True)
             proc.start()
         except BaseException:
             conn.close()
@@ -354,44 +411,64 @@ class AdapterWorker:
 
     def _request(self, kind: str):
         self._send((kind,))
+        return self._recv()
+
+    def _recv(self):
         try:
             status, payload = self._conn.recv()
         except (EOFError, OSError) as exc:
             raise self._lost() from exc
         if status == "error":
-            iteration, name, message, worker_traceback = payload
-            error = getattr(errors, name, None)
-            if not (isinstance(error, type) and issubclass(error, FeddivError)):
-                error, message = FeddivError, f"{name}: {message}"
-            raise error(f"client {self._client.client_id}: adapter step at iteration "
-                        f"{iteration} failed: {message}") from RemoteTraceback(worker_traceback)
+            raise self._failure(*payload)
         return payload
+
+    def _failure(self, iteration: int, name: str, message: str,
+                 worker_traceback: str) -> FeddivError:
+        error = getattr(errors, name, None)
+        packaged = isinstance(error, type) and issubclass(error, FeddivError)
+        if not packaged:
+            error, message = FeddivError, f"{name}: {message}"
+        # Training in this process raises the package's errors as they are.
+        if not (self._main and packaged):
+            kind = "main" if self._main else "adapter"
+            message = (f"client {self._client.client_id}: {kind} step at iteration "
+                       f"{iteration} failed: {message}")
+        exc = error(message)
+        exc.__cause__ = RemoteTraceback(worker_traceback)
+        return exc
 
     def _lost(self) -> FeddivError:
         self._proc.join(WORKER_CLOSE_TIMEOUT)
-        at = "before its first step" if self._iteration is None else \
-            f"at iteration {self._iteration}"
-        return FeddivError(f"client {self._client.client_id}: adapter worker {at}: the worker "
-                           f"process exited (exit code {self._proc.exitcode})")
+        if self._main:
+            at = "main steps on the worker"
+        elif self._iteration is None:
+            at = "adapter worker before its first step"
+        else:
+            at = f"adapter worker at iteration {self._iteration}"
+        return FeddivError(f"client {self._client.client_id}: {at}: the worker process exited "
+                           f"(exit code {self._proc.exitcode})")
 
 
-def _serve_adapter_steps(conn, parent_conn, net: SmallConvNet, adapters: list[InstanceAdapter]):
+def _serve(conn, parent_conn, net: SmallConvNet, adapters: list[InstanceAdapter] | None):
     """The worker's loop: run what the parent sends until its end of the pipe closes.
 
-    A step that raises is reported at the next ``sync``, and the steps after
-    it are skipped until the next ``begin``. Otherwise ``sync`` answers with
-    the adapter arrays and the adapter RNG's state.
+    An adapter step that raises is reported at the next ``sync``, and the
+    steps after it are skipped until the next ``begin``. Otherwise ``sync``
+    answers with the adapter arrays and the adapter RNG's state. ``train``
+    runs ``_serve_training``.
     """
     parent_conn.close()  # so that the parent's exit is an EOF here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and closes
     params = list(net.parameters().values())
-    named_adapter_params = adapter_parameters(adapters)
+    named_adapter_params = adapter_parameters(adapters or [])
     adapter_params = list(named_adapter_params.values())
     failure = None
     try:
         while True:
             kind, *args = conn.recv()
-            if kind == "begin":
+            if kind == "train":
+                _serve_training(conn, net, adapters, *args)
+            elif kind == "begin":
                 arrays, stats, rng, lr = args
                 for p, a in zip(adapter_params, arrays):
                     p.data = a
@@ -421,7 +498,44 @@ def _serve_adapter_steps(conn, parent_conn, net: SmallConvNet, adapters: list[In
         return  # the parent closed its end of the pipe, or exited
 
 
+def _serve_training(conn, net: SmallConvNet, adapters: list[InstanceAdapter] | None,
+                    client_id: int, bundle: dict, global_stats, warm_images,
+                    fed: FederationConfig, cfg: Config):
+    """One handed-over client's update on the worker.
+
+    Reads the client's draws, one message per iteration, before the first
+    step; then runs ``_start`` and ``_train`` as the parent would, keeping a
+    snapshot at each validation iteration. It answers with the global
+    statistics and mean losses, then one message per snapshot; or with the
+    error that stopped it.
+    """
+    draws = [conn.recv() for _ in range(fed.iterations)]
+    snapshots = []
+    done = 0  # steps
+
+    def keep_snapshot(it: int, images: np.ndarray, labels: np.ndarray):
+        nonlocal done
+        done = it + 1
+        if _validates(it, fed):
+            snapshots.append(extract_bundle(net, adapters))
+
+    try:
+        _start(net, adapters, bundle, global_stats, warm_images)
+        losses = _train(net, client_id, fed, cfg, draws, keep_snapshot)
+    except Exception as exc:  # reported to the parent, which raises it
+        conn.send(("error", (done, type(exc).__name__, str(exc), traceback.format_exc())))
+        return
+    conn.send(("ok", ([(bn.global_mean, bn.global_var) for bn in net.bn_layers()], losses)))
+    for snapshot in snapshots:
+        conn.send(("ok", snapshot))
+
+
 # -- local training ----------------------------------------------------------
+
+# Round 0 seeds the global BN statistics from one forward over up to this
+# many of the client's training images.
+WARM_IMAGES = 64
+
 
 def _prox_penalty(params: dict[str, Tensor], reference: dict[str, np.ndarray],
                   mu: float) -> Tensor:
@@ -430,6 +544,99 @@ def _prox_penalty(params: dict[str, Tensor], reference: dict[str, np.ndarray],
         diff = T.sub(p, Tensor(reference[k]))
         total = T.add(total, T.tsum(T.mul(diff, diff)))
     return T.mul(Tensor(mu / 2.0), total)
+
+
+def _validates(it: int, fed: FederationConfig) -> bool:
+    """Whether iteration ``it`` validates; the last one always does."""
+    return (it + 1) % fed.val_every == 0 or it == fed.iterations - 1
+
+
+def _warm_images(client: ClientState, round_idx: int) -> np.ndarray | None:
+    return client.train_data.images[:WARM_IMAGES] if round_idx == 0 else None
+
+
+def _draws(client: ClientState, fed: FederationConfig, cfg: Config):
+    """Each iteration's batch and mix vectors (None without diversify), from the client's RNG."""
+    for _ in range(fed.iterations):
+        images, labels = client.next_batch(fed.batch_size)
+        ctx = (sample_mix_context(client.net, cfg.diversify.sampling, client.rng)
+               if cfg.diversify.enabled else None)
+        yield images, labels, ctx
+
+
+def _start(net: SmallConvNet, adapters: list[InstanceAdapter] | None, bundle: dict,
+           global_stats, warm_images: np.ndarray | None):
+    """Load a client's start arrays and the global BN statistics its round trains under.
+
+    No server-synthesized statistics exist before the first aggregation, so
+    in round 0 (``warm_images`` given) the global buffers come from one local
+    forward instead of (0, 1): each layer takes its input's batch statistics,
+    then blends at zero.
+    """
+    load_bundle(net, adapters, bundle)
+    if warm_images is None:
+        net.set_global_stats(global_stats)
+        return
+    bns = net.bn_layers()
+
+    def warm_start(i: int, h: Tensor) -> Tensor:
+        bns[i].set_global_stats(h.data.mean(axis=(0, 2, 3)), h.data.var(axis=(0, 2, 3)))
+        return Tensor(np.zeros((h.shape[0], 1)))
+
+    with T.no_grad():
+        net.forward(Tensor(warm_images), BNMode.INTERPOLATED_ADAPTER, warm_start)
+
+
+def _train(net: SmallConvNet, client_id: int, fed: FederationConfig, cfg: Config, draws,
+           after_step) -> dict:
+    """The training loop both processes run; returns the mean losses.
+
+    For each iteration's (images, labels, mix vectors) from ``draws``: the
+    forward, the loss, the backward and the SGD step, then
+    ``after_step(iteration, images, labels)``.
+    """
+    main_params = net.parameters()
+    prox_ref = ({k: p.data.copy() for k, p in main_params.items()}
+                if fed.strategy == "fedprox" else None)
+    optimizer = SGD(main_params, lr=fed.lr, momentum=fed.momentum)
+    loss_sums = {"ce": 0.0, "cacl": 0.0, "cafl": 0.0, "total": 0.0}
+
+    for it, (images, labels, ctx) in enumerate(draws):
+        batch = Tensor(images)
+        if cfg.diversify.enabled:
+            total, comps = local_loss(net, batch, labels, ctx, cfg.loss,
+                                      cfg.diversify.stop_gradient_features)
+        else:
+            _, logits = net.forward(batch, BNMode.TRAIN_BATCH)
+            total = T.softmax_cross_entropy(logits, labels)
+            comps = {"ce": float(total.data), "cacl": 0.0, "cafl": 0.0}
+
+        if fed.strategy == "fedprox" and fed.prox_mu > 0:
+            total = T.add(total, _prox_penalty(main_params, prox_ref, fed.prox_mu))
+
+        if not np.isfinite(total.data):
+            raise FeddivError(
+                f"client {client_id}: non-finite loss at iteration {it}, aborting round"
+            )
+        optimizer.zero_grad()
+        total.backward()
+        optimizer.step()
+
+        loss_sums["ce"] += comps["ce"]
+        loss_sums["cacl"] += comps["cacl"]
+        loss_sums["cafl"] += comps["cafl"]
+        loss_sums["total"] += float(total.data)
+        after_step(it, images, labels)
+
+    iters = max(fed.iterations, 1)
+    return {k: v / iters for k, v in loss_sums.items()}
+
+
+def _keep_local(client: ClientState, server_bundle: dict, strategy: str):
+    """Leave in ``client.local`` the network's arrays that ``strategy`` keeps local."""
+    aggregated = set(aggregated_keys(server_bundle, strategy))
+    client.local = extract_bundle(client.net, client.adapters,
+                                  [k for k in server_bundle if k not in aggregated])
 
 
 def local_update(client: ClientState, server_bundle: dict, global_stats, fed: FederationConfig,
@@ -442,43 +649,35 @@ def local_update(client: ClientState, server_bundle: dict, global_stats, fed: Fe
     the strategy keeps local in ``client.local``. The adapter steps when the
     client has adapters, the round is past warm-up and it has an iteration;
     its steps run on ``client.adapter_worker``, or on a worker opened for
-    this call.
+    this call. In the run's other rounds, the client's main steps may run on
+    ``client.adapter_worker``, which the update of the participant before it
+    handed them to; this call then validates and selects the snapshots the
+    worker returns.
     """
-    if client.adapters is None or round_idx < cfg.adapter.warmup_rounds or fed.iterations == 0:
-        return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx, None)
-    if client.adapter_worker is not None:  # run_federation closes the run's worker
-        return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx,
-                              client.adapter_worker)
-    with AdapterWorker(client.net, client.adapters) as worker:
-        return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx, worker)
+    worker = client.adapter_worker
+    if client.adapters is not None and round_idx >= cfg.adapter.warmup_rounds \
+            and fed.iterations > 0:
+        if worker is not None:  # run_federation closes the run's worker
+            return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx,
+                                  worker)
+        with AdapterWorker(client.net, client.adapters) as worker:
+            return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx,
+                                  worker)
+    if worker is not None and worker.trains(client):
+        return _take_from_worker(client, server_bundle, fed, worker)
+    if worker is not None:
+        worker.hand_over(client, server_bundle, global_stats, fed, cfg, round_idx)
+    return _train_locally(client, server_bundle, global_stats, fed, cfg, round_idx, None)
 
 
 def _train_locally(client: ClientState, server_bundle: dict, global_stats,
                    fed: FederationConfig, cfg: Config, round_idx: int,
                    worker: AdapterWorker | None) -> tuple[dict, dict]:
-    """``local_update``'s training; ``worker`` runs the adapter steps, if any."""
-    load_bundle(client.net, client.adapters, {**server_bundle, **client.local})
-    if round_idx == 0:
-        # No server-synthesized statistics exist before the first
-        # aggregation; seed the global buffers from one local forward so
-        # statistic mixing starts from a sane reference instead of (0, 1):
-        # each layer takes its input's batch statistics, then blends at zero.
-        bns = client.net.bn_layers()
-
-        def warm_start(i: int, h: Tensor) -> Tensor:
-            bns[i].set_global_stats(h.data.mean(axis=(0, 2, 3)), h.data.var(axis=(0, 2, 3)))
-            return Tensor(np.zeros((h.shape[0], 1)))
-
-        with T.no_grad():
-            client.net.forward(Tensor(client.train_data.images[:64]),
-                               BNMode.INTERPOLATED_ADAPTER, warm_start)
-    else:
-        client.net.set_global_stats(global_stats)
-
-    main_params = client.net.parameters()
-    prox_ref = ({k: p.data.copy() for k, p in main_params.items()}
-                if fed.strategy == "fedprox" else None)
-    optimizer = SGD(main_params, lr=fed.lr, momentum=fed.momentum)
+    """``local_update``'s training in this process; ``worker`` runs the adapter steps, if any."""
+    net = client.net
+    _start(net, client.adapters, {**server_bundle, **client.local}, global_stats,
+           _warm_images(client, round_idx))
+    main_params = net.parameters()
     if worker is not None:
         worker.begin(client, cfg.adapter.lr)
 
@@ -487,59 +686,51 @@ def _train_locally(client: ClientState, server_bundle: dict, global_stats,
     # snapshots the arrays it loaded, after the loop.
     best_val = -np.inf
     best_bundle = None
-    loss_sums = {"ce": 0.0, "cacl": 0.0, "cafl": 0.0, "total": 0.0}
 
-    for it in range(fed.iterations):
-        images, labels = client.next_batch(fed.batch_size)
-        batch = Tensor(images)
-
-        if cfg.diversify.enabled:
-            ctx = sample_mix_context(client.net, cfg.diversify.sampling, client.rng)
-            total, comps = local_loss(client.net, batch, labels, ctx, cfg.loss,
-                                      cfg.diversify.stop_gradient_features)
-        else:
-            _, logits = client.net.forward(batch, BNMode.TRAIN_BATCH)
-            total = T.softmax_cross_entropy(logits, labels)
-            comps = {"ce": float(total.data), "cacl": 0.0, "cafl": 0.0}
-
-        if fed.strategy == "fedprox" and fed.prox_mu > 0:
-            total = T.add(total, _prox_penalty(main_params, prox_ref, fed.prox_mu))
-
-        if not np.isfinite(total.data):
-            raise FeddivError(
-                f"client {client.client_id}: non-finite loss at iteration {it}, aborting round"
-            )
-        optimizer.zero_grad()
-        total.backward()
-        optimizer.step()
-
-        loss_sums["ce"] += comps["ce"]
-        loss_sums["cacl"] += comps["cacl"]
-        loss_sums["cafl"] += comps["cafl"]
-        loss_sums["total"] += float(total.data)
-
+    def after_step(it: int, images: np.ndarray, labels: np.ndarray):
+        nonlocal best_val, best_bundle
         if worker is not None:
             worker.step(it, main_params, images, labels)
+        if not _validates(it, fed):
+            return
+        # The snapshot below holds the adapter arrays of this iteration, and
+        # validation gets the machine to itself. The last iteration always
+        # gets here, so the client leaves with the adapter RNG state of its
+        # last step.
+        if worker is not None:
+            worker.sync()
+        acc = evaluate_net(net, client.adapters, client.val_data, "eval_global")
+        if acc > best_val:
+            best_val = acc
+            best_bundle = extract_bundle(net, client.adapters)
 
-        if (it + 1) % fed.val_every == 0 or it == fed.iterations - 1:
-            # The snapshot below holds the adapter arrays of this iteration,
-            # and validation gets the machine to itself. The last iteration
-            # always gets here, so the client leaves with the adapter RNG
-            # state of its last step.
-            if worker is not None:
-                worker.sync()
-            acc = evaluate_net(client.net, client.adapters, client.val_data, "eval_global")
-            if acc > best_val:
-                best_val = acc
-                best_bundle = extract_bundle(client.net, client.adapters)
-
+    losses = _train(net, client.client_id, fed, cfg, _draws(client, fed, cfg), after_step)
     if best_bundle is None:
-        best_bundle = extract_bundle(client.net, client.adapters)
-    aggregated = set(aggregated_keys(server_bundle, fed.strategy))
-    client.local = extract_bundle(client.net, client.adapters,
-                                  [k for k in server_bundle if k not in aggregated])
-    iters = max(fed.iterations, 1)
-    return best_bundle, {k: v / iters for k, v in loss_sums.items()}
+        best_bundle = extract_bundle(net, client.adapters)
+    _keep_local(client, server_bundle, fed.strategy)
+    return best_bundle, losses
+
+
+def _take_from_worker(client: ClientState, server_bundle: dict, fed: FederationConfig,
+                      worker: AdapterWorker) -> tuple[dict, dict]:
+    """``local_update`` for a client the worker trained: validate and select here.
+
+    Each snapshot is validated on the shared network under the global
+    statistics the client trained under, in iteration order, as
+    ``_train_locally`` validates; the last one is the state the round left.
+    """
+    stats, losses, snapshots = worker.take(sum(_validates(it, fed)
+                                               for it in range(fed.iterations)))
+    client.net.set_global_stats(stats)
+    best_val = -np.inf
+    best_bundle = None
+    for snapshot in snapshots:
+        load_bundle(client.net, client.adapters, snapshot)
+        acc = evaluate_net(client.net, client.adapters, client.val_data, "eval_global")
+        if acc > best_val:
+            best_val, best_bundle = acc, snapshot
+    _keep_local(client, server_bundle, fed.strategy)
+    return best_bundle, losses
 
 
 # -- evaluation --------------------------------------------------------------
@@ -619,19 +810,19 @@ def run_federation(clients: list[ClientState], server: ServerState,
         if c.net is not net or c.adapters is not adapters:
             raise ProtocolError(f"run_federation: client {c.client_id} does not share client "
                                 f"{clients[0].client_id}'s network and adapter set")
-    # Forks at the first update that steps the adapter.
+    # Forks at the first update that gives it work.
     with AdapterWorker(net, adapters) as worker:
         for c in clients:
             c.adapter_worker = worker
         try:
-            return _run_rounds(clients, server, cfg)
+            return _run_rounds(clients, server, cfg, worker)
         finally:
             for c in clients:
                 c.adapter_worker = None
 
 
-def _run_rounds(clients: list[ClientState], server: ServerState,
-                cfg: Config) -> tuple[dict, list, list[dict]]:
+def _run_rounds(clients: list[ClientState], server: ServerState, cfg: Config,
+                worker: AdapterWorker) -> tuple[dict, list, list[dict]]:
     net, adapters = clients[0].net, clients[0].adapters
     fed = cfg.federation
     ledger: list[dict] = []
@@ -644,6 +835,7 @@ def _run_rounds(clients: list[ClientState], server: ServerState,
                                       replace=False)
             participants = [clients[i] for i in sorted(picks)]
 
+        worker.share_round(participants)
         results = [local_update(c, server.bundle, server.global_stats, fed, cfg, rnd)
                    for c in participants]
         uploads = [upload for upload, _ in results]

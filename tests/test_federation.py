@@ -635,10 +635,11 @@ class TestRunFederation:
             run_federation(clients, server, cfg)
 
     @pytest.mark.parametrize("adapters,warmup,forks", [(True, 0, 1), (True, 1, 1),
-                                                       (True, 2, 0), (False, 0, 0)])
+                                                       (True, 2, 1), (False, 0, 1)])
     def test_one_adapter_worker_per_run(self, monkeypatch, adapters, warmup, forks):
-        # The run's one worker forks at the first update that steps the
-        # adapter, and is gone after the run.
+        # The run's one worker forks at the first update that gives it work,
+        # adapter steps or a paired client's main steps, and is gone after
+        # the run.
         clients, _, _, net, ad = build_federation(seed=2)
         ad = ad if adapters else None
         for c in clients:
@@ -684,3 +685,208 @@ class TestBatching:
         empty = tiny_dataset(4).subset(np.array([], dtype=np.int64))
         with pytest.raises(InputError, match="client 5"):
             ClientState(5, empty, tiny_dataset(4), net, None, seed=0)
+
+
+def parent_only(monkeypatch):
+    """Pair no participants, so every client of a round trains in the parent."""
+    share = federation.AdapterWorker.share_round
+    monkeypatch.setattr(federation.AdapterWorker, "share_round",
+                        lambda worker, participants: share(worker, []))
+
+
+def recorded_run(monkeypatch, seed, cfg, n_clients=3, adapters=False):
+    """One ``run_federation`` over ``n_clients`` tiny clients, and what it leaves.
+
+    ``validated`` holds, for each ``evaluate_net`` call in order, the bytes
+    of every array and global statistic the network evaluated with.
+    """
+    validated = []
+
+    def recording(net, adapters, dataset, *args, **kwargs):
+        stats = [s for bn in net.bn_layers() for s in (bn.global_mean, bn.global_var)]
+        validated.append(b"".join(a.tobytes() for a in
+                                  [*extract_bundle(net, adapters).values(), *stats]))
+        return evaluate_net(net, adapters, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "evaluate_net", recording)
+    clients, _, _, net, ad = build_federation(seed=seed, n_clients=n_clients)
+    ad = ad if adapters else None
+    for c in clients:
+        c.adapters = ad
+    server = ServerState(extract_bundle(net, ad), seed=seed)
+    best, stats, ledger = run_federation(clients, server, cfg)
+    return {"best": best, "stats": stats, "ledger": ledger, "best_round": server.best_round,
+            "local": [c.local for c in clients], "validated": validated,
+            "rng": [(c.rng.bit_generator.state, c.adapter_rng.bit_generator.state)
+                    for c in clients]}
+
+
+def assert_same_run(got, want):
+    assert got["validated"] == want["validated"]
+    assert got["ledger"] == want["ledger"]
+    assert got["best_round"] == want["best_round"]
+    assert got["rng"] == want["rng"]
+    assert list(got["best"]) == list(want["best"])
+    for k in want["best"]:
+        assert got["best"][k].tobytes() == want["best"][k].tobytes(), k
+    for (m, v), (m0, v0) in zip(got["stats"], want["stats"], strict=True):
+        assert m.tobytes() == m0.tobytes() and v.tobytes() == v0.tobytes()
+    for local, local0 in zip(got["local"], want["local"], strict=True):
+        assert list(local) == list(local0)
+        for k in local0:
+            assert local[k].tobytes() == local0[k].tobytes(), k
+
+
+class TestWorkerTrainedClients:
+    """Every other participant of a round without adapter steps trains on the worker."""
+
+    @pytest.mark.parametrize("seed,n_clients,adapters,cfg", [
+        *[pytest.param(1, 3, False, default_cfg(4, 2, diversify=diversify, strategy=strategy),
+                       id=f"{strategy}-diversify-{'on' if diversify else 'off'}")
+          for strategy in federation.STRATEGIES for diversify in (False, True)],
+        pytest.param(5, 3, False, default_cfg(2, 3, participants_per_round=2),
+                     id="2-of-3-participants"),
+        pytest.param(2, 5, False, default_cfg(3, 2, diversify=False), id="5-clients"),
+        pytest.param(3, 3, True, default_cfg(4, 2, warmup_rounds=1), id="adapter-warm-up"),
+    ])
+    def test_same_bits_as_training_every_client_in_the_parent(self, monkeypatch, seed,
+                                                              n_clients, adapters, cfg):
+        takes = []
+        take = federation.AdapterWorker.take
+        monkeypatch.setattr(federation.AdapterWorker, "take",
+                            lambda worker, n: takes.append(n) or take(worker, n))
+        got = recorded_run(monkeypatch, seed, cfg, n_clients, adapters)
+        # One take per pair of each round without adapter steps.
+        rounds = cfg.federation.rounds if not adapters else cfg.adapter.warmup_rounds
+        participants = cfg.federation.participants_per_round or n_clients
+        assert len(takes) == rounds * (participants // 2)
+        parent_only(monkeypatch)
+        assert_same_run(got, recorded_run(monkeypatch, seed, cfg, n_clients, adapters))
+
+    def test_an_earlier_snapshot_wins_on_the_worker(self, monkeypatch):
+        # Seed 0 has a worker-trained update whose iteration-1 snapshot
+        # validates better than its last one, so selection in the parent is
+        # what picks the upload.
+        earlier = []
+        take_from_worker = federation._take_from_worker
+
+        def recording(client, server_bundle, fed, worker):
+            best, losses = take_from_worker(client, server_bundle, fed, worker)
+            last = extract_bundle(client.net, client.adapters)
+            earlier.append(any(best[k].tobytes() != last[k].tobytes() for k in best))
+            return best, losses
+
+        monkeypatch.setattr(federation, "_take_from_worker", recording)
+        cfg = default_cfg(4, 3, strategy="fedbn", val_every=1)
+        got = recorded_run(monkeypatch, 0, cfg)
+        assert any(earlier)
+        parent_only(monkeypatch)
+        assert_same_run(got, recorded_run(monkeypatch, 0, cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(default_cfg(0, 2), id="zero-iterations"),
+        pytest.param(default_cfg(3, 2, participants_per_round=1), id="one-participant"),
+    ])
+    def test_rounds_without_a_pair_fork_nothing(self, monkeypatch, cfg):
+        forked = count_forks(monkeypatch)
+        recorded_run(monkeypatch, 4, cfg)
+        assert forked == []
+
+    def test_single_client_run_forks_nothing(self, monkeypatch):
+        forked = count_forks(monkeypatch)
+        recorded_run(monkeypatch, 4, default_cfg(3, 2), n_clients=1)
+        assert forked == []
+
+    def test_run_stopped_at_its_first_update_forks_nothing(self, monkeypatch, tmp_path):
+        # As a set-up-only benchmark run ends: no process before the first update.
+        from feddiv.config import load_config
+        from feddiv.harness import run_experiment
+
+        class Stop(Exception):
+            pass
+
+        def first_update(*args):
+            raise Stop
+
+        forked = count_forks(monkeypatch)
+        monkeypatch.setattr(federation, "local_update", first_update)
+        cfg = load_config(None, ["benchmark.samples_per_client=40", "benchmark.test_samples=20",
+                                 "benchmark.classes=3", "model.widths=[4]",
+                                 "federation.rounds=1", "federation.iterations=2",
+                                 "seeds=[0]"])
+        with pytest.raises(Stop):
+            run_experiment(cfg, str(tmp_path))
+        assert forked == []
+        assert not multiprocessing.active_children()
+
+    def test_non_finite_loss_raises_the_in_process_error(self, monkeypatch):
+        def poisoned_run():
+            clients, server, _, _, _ = build_federation(seed=1)
+            for c in clients:
+                c.adapters = None
+            clients[1].local = {"classifier.b": np.full(3, np.nan)}  # trains on the worker
+            server = ServerState(extract_bundle(clients[0].net, None), seed=1)
+            with pytest.raises(FeddivError) as info:
+                run_federation(clients, server, default_cfg(4, 1, diversify=False))
+            return info.value
+
+        got = poisoned_run()
+        parent_only(monkeypatch)
+        want = poisoned_run()
+        assert str(want) == "client 1: non-finite loss at iteration 0, aborting round"
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("error,raised,match", [
+        (InputError("bad batch"), InputError, r"^bad batch$"),
+        (ValueError("bad batch"), FeddivError,
+         r"^client 1: main step at iteration 2 failed: ValueError: bad batch$"),
+    ])
+    def test_worker_error_reaches_the_parent(self, monkeypatch, error, raised, match):
+        # Patched before the worker forks, so the worker inherits the patch;
+        # its third step fails there, as the same step would here.
+        parent, steps = os.getpid(), []
+        step = federation.SGD.step
+
+        def third_worker_step_fails(optimizer):
+            if os.getpid() != parent:
+                steps.append(1)
+                if len(steps) == 3:
+                    raise error
+            step(optimizer)
+
+        monkeypatch.setattr(federation.SGD, "step", third_worker_step_fails)
+        with pytest.raises(raised, match=match) as info:
+            recorded_run(monkeypatch, 1, default_cfg(4, 1))
+        assert type(info.value) is raised
+
+    def test_killed_worker_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+        train = federation._train
+
+        def killed_on_the_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train(*args)
+
+        monkeypatch.setattr(federation, "_train", killed_on_the_worker)
+        with pytest.raises(FeddivError, match=r"^client 1: main steps on the worker: the worker "
+                                              r"process exited \(exit code -9\)$"):
+            recorded_run(monkeypatch, 1, default_cfg(4, 1))
+        assert not multiprocessing.active_children()
+
+    def test_parent_error_mid_round_leaves_no_child(self, monkeypatch):
+        # Client 0's first validation raises while client 1 is on the worker.
+        def evaluate(*args, **kwargs):
+            raise InputError("validation failed")
+
+        monkeypatch.setattr(federation, "evaluate_net", evaluate)
+        clients, server, cfg, net, _ = build_federation(seed=1)
+        for c in clients:
+            c.adapters = None
+        forked = count_forks(monkeypatch)
+        with pytest.raises(InputError, match="validation failed"):
+            run_federation(clients, ServerState(extract_bundle(net, None), seed=1), cfg)
+        assert len(forked) == 1
+        assert not multiprocessing.active_children()
+        assert all(c.adapter_worker is None for c in clients)
