@@ -220,8 +220,10 @@ class ClientState:
         self.net = net
         self.adapters = adapters
         self.local: dict[str, np.ndarray] = {}
-        # The adapter worker of the run this client is in; None outside
-        # ``run_federation``, and then ``local_update`` opens its own.
+        # The one worker of the run this client is in: it runs adapter steps,
+        # or the main steps of every other participant of a round. None
+        # outside ``run_federation``; ``local_update`` then trains in this
+        # process and opens a worker for the adapter steps only.
         self.adapter_worker: AdapterWorker | None = None
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, client_id]))
         # Separate stream for adapter training so that enabling the adapter

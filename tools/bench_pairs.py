@@ -6,8 +6,9 @@
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, at the same seed (pair i takes seed
 i mod the number of seeds); even pairs run BASE first and odd pairs CHANGE
-first. ``--seconds`` defaults to ``run_seconds`` of BASE's
-``BENCHMARK.json``, which also gives each metric's direction and bound.
+first. T is ``run_seconds`` of BASE's ``BENCHMARK.json``, so both sides run
+as long as the benchmark does; the same file gives each metric's direction
+and bound.
 
 For each end-to-end metric it prints each side's median and quartiles, the
 pairs CHANGE won (ties count for neither side), whether the change is
@@ -72,13 +73,12 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     with open(os.path.join(args.base, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     runs = {"base": [], "change": []}
     for i in range(args.pairs):
